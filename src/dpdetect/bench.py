@@ -6,14 +6,15 @@ and hands every requested method the same measurement (paired comparison),
 possibly with a mismatched template length. Scoring always uses the true
 length's radius. Per-trial seeds are derived as ``base_seed + trial_index``
 so trials are independent and the whole sweep is reproducible; per-trial
-detector failures are logged and scored as empty detections.
+detector failures are logged, scored as empty detections and counted in the
+record's ``failures``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,12 @@ class BenchConfig:
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """Means over ``trials`` for one (sigma2, method) cell.
+
+    ``failures`` counts the trials whose detector raised a
+    :class:`DetectError`; those are scored as empty detections.
+    """
+
     sigma2: float
     method: str
     k_mode: str
@@ -114,6 +121,7 @@ class BenchRecord:
     mean_precision: float
     mean_k_err: float
     trials: int
+    failures: int = 0
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,7 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
     records = []
     for sig_idx, sigma2 in enumerate(cfg.sigma2_grid):
         sums = {m: np.zeros(4) for m in cfg.methods}
+        failures = dict.fromkeys(cfg.methods, 0)
         for t in range(cfg.trials):
             trial_seed = cfg.seed + sig_idx * cfg.trials + t
             rng = np.random.default_rng(trial_seed)
@@ -176,6 +185,7 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
                         exc,
                     )
                     placements = PlacementSet([], cfg.detector_length)
+                    failures[method] += 1
                 rep = score(truth, placements, cfg.length, cfg.k)
                 sums[method] += (rep.f1, rep.recall, rep.precision, rep.k_err)
         for method in cfg.methods:
@@ -190,6 +200,7 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
                     mean_precision=float(precision),
                     mean_k_err=float(k_err),
                     trials=cfg.trials,
+                    failures=failures[method],
                 )
             )
     return records
@@ -250,6 +261,7 @@ def run_length_scaling(
 
 
 _CSV_HEADER = "sigma2,method,k_mode,f1,recall,precision,k_err,trials"
+_FAILURES_COLUMN = ",failures"
 _SCALING_HEADER = "N,method,k_mode,f1,recall,precision,k_err,trials"
 
 
@@ -269,11 +281,19 @@ def _record_row(first, rec) -> str:
 
 
 def emit_csv(records, path) -> None:
-    """Sweep records as CSV; floats carry six significant digits."""
+    """Sweep records as CSV; floats carry six significant digits.
+
+    When any trial failed, a ``failures`` column follows ``trials``, so a
+    failure can be told from a miss; a sweep without failures keeps the
+    eight-column layout.
+    """
     if not records:
         raise ValidationError("no records to write")
-    lines = [_CSV_HEADER]
-    lines += [_record_row(format(r.sigma2, ".6g"), r) for r in records]
+    failed = any(r.failures for r in records)
+    lines = [_CSV_HEADER + _FAILURES_COLUMN if failed else _CSV_HEADER]
+    for r in records:
+        row = _record_row(format(r.sigma2, ".6g"), r)
+        lines.append(f"{row},{r.failures}" if failed else row)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -288,11 +308,13 @@ def emit_scaling_csv(records, path) -> None:
 def load_records(path) -> list[BenchRecord]:
     """Inverse of :func:`emit_csv` (up to the six-digit float format)."""
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _CSV_HEADER:
+    if not lines or lines[0] not in (_CSV_HEADER, _CSV_HEADER + _FAILURES_COLUMN):
         raise ValidationError(f"{path}: not a sweep CSV")
     records = []
     for line in lines[1:]:
-        sigma2, method, k_mode, f1, recall, precision, k_err, trials = line.split(",")
+        sigma2, method, k_mode, f1, recall, precision, k_err, trials, *failures = (
+            line.split(",")
+        )
         records.append(
             BenchRecord(
                 sigma2=float(sigma2),
@@ -303,6 +325,7 @@ def load_records(path) -> list[BenchRecord]:
                 mean_precision=float(precision),
                 mean_k_err=float(k_err),
                 trials=int(trials),
+                failures=int(failures[0]) if failures else 0,
             )
         )
     return records
@@ -411,7 +434,3 @@ def load_config(path) -> BenchConfig:
         return BenchConfig(**raw)
     except TypeError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-
-
-def with_overrides(cfg: BenchConfig, **kwargs) -> BenchConfig:
-    return replace(cfg, **kwargs)

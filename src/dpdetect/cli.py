@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,8 +139,8 @@ def cmd_whiten(args) -> int:
 def _bench_config(args) -> bench_mod.BenchConfig:
     if args.config:
         cfg = bench_mod.load_config(args.config)
-        if args.seed is not None and args.seed != 0:
-            cfg = bench_mod.with_overrides(cfg, seed=args.seed)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
         return cfg
     required = {"--n": args.n, "--l": args.length, "--k": args.k}
     missing = [name for name, v in required.items() if v is None]
@@ -157,7 +158,7 @@ def _bench_config(args) -> bench_mod.BenchConfig:
         k_mode=args.k_mode,
         k_max=args.kmax,
         perms=args.perms,
-        seed=args.seed,
+        seed=0 if args.seed is None else args.seed,
     )
 
 
@@ -194,9 +195,10 @@ def cmd_scaling(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="output path (or prefix for gen)")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--out", help="output path (or prefix for gen)")
 
     parser = argparse.ArgumentParser(
         prog="dpdetect",
@@ -250,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_whiten)
 
-    p = sub.add_parser("bench", parents=[common], help="noise sweep")
+    p = sub.add_parser("bench", parents=[output], help="noise sweep")
     p.add_argument("--config", help="JSON config mirroring BenchConfig")
+    # No default, so an explicit --seed (0 included) overrides the config's.
+    p.add_argument("--seed", type=int, help="base RNG seed (default: config's, or 0)")
     p.add_argument("--n", type=int)
     p.add_argument("--l", dest="length", type=int)
     p.add_argument("--k", type=int)

@@ -13,16 +13,24 @@ to be at most ``n-1-L``. Row 0 holds the empty prefix: 0 for ``j = 0`` and
 clamped index correct for ``n < L``). The final row therefore carries the
 exact optimum for every occurrence count up to ``k_max``.
 
-The fill is vectorized per column with a running maximum, so the table
-costs O(M) numpy work per occurrence count on top of one score
-computation. One boolean per cell records whether the "place" branch won
-strictly; ties prefer the "skip" branch, which keeps the backtracked
+The table is stored count-major: one contiguous length-``M+1`` row per
+occurrence count. Count ``j`` is filled from row ``j-1`` alone, shifted by
+``L`` and added to the scores, then closed with a running maximum, so the
+table costs O(M) contiguous numpy work per occurrence count on top of one
+score computation. One boolean per cell records whether the "place" branch
+won strictly; ties prefer the "skip" branch, which keeps the backtracked
 solution deterministic (among optima, the earliest improving position is
-kept at every level).
+kept at every level). The backtrack scans one contiguous choice row per
+placement.
+
+The table takes 9 bytes per cell (a float64 optimum and a bool choice).
+:func:`dp_solve` refuses, before computing any score, a table larger than
+:data:`TABLE_BYTES_LIMIT`, a quarter of physical memory.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +47,30 @@ from .xcorr import correlation_scores
 
 __all__ = ["DpTable", "dp_solve", "dp_backtrack", "dp_detect", "dp_objective_column"]
 
+# Bytes per table cell: a float64 optimum plus a bool choice.
+CELL_BYTES = 9
+
+
+def _quarter_of_physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+# Largest table, in bytes, that dp_solve allocates; None (no limit) where
+# the platform does not report physical memory.
+TABLE_BYTES_LIMIT = _quarter_of_physical_memory()
+
 
 @dataclass(frozen=True)
 class DpTable:
     """Filled table of shape ``(M+1, k_max+1)`` plus the choice bits.
 
     ``best[n][j]`` is -inf when ``j`` placements cannot fit in the first
-    ``n`` candidate positions; column 0 is identically zero.
+    ``n`` candidate positions; column 0 is identically zero. ``best`` and
+    ``choice`` are transposed views of C-contiguous ``(k_max+1, M+1)``
+    arrays, so the cells of one occurrence count are adjacent in memory.
     """
 
     best: np.ndarray
@@ -59,7 +84,11 @@ class DpTable:
 
 
 def dp_solve(y, x, k_max: int) -> DpTable:
-    """Fill the table for every occurrence count ``j = 0 .. k_max``."""
+    """Fill the table for every occurrence count ``j = 0 .. k_max``.
+
+    Raises :class:`ValidationError`, before scoring or allocating the
+    table, when the table would exceed :data:`TABLE_BYTES_LIMIT`.
+    """
     y = as_measurement(y)
     x = as_template(x)
     if k_max < 0:
@@ -68,24 +97,34 @@ def dp_solve(y, x, k_max: int) -> DpTable:
         raise ValidationError(
             f"measurement shorter than template ({y.length} < {x.length})"
         )
-    scores = correlation_scores(y, x).scores
-    n_pos = scores.size
     length = x.length
+    n_pos = y.length - length + 1
+    needed = (n_pos + 1) * (k_max + 1) * CELL_BYTES
+    if TABLE_BYTES_LIMIT is not None and needed > TABLE_BYTES_LIMIT:
+        raise ValidationError(
+            f"DP table for M={n_pos} candidates and k_max={k_max} needs "
+            f"{needed} bytes, above the limit of {TABLE_BYTES_LIMIT} bytes "
+            "(a quarter of physical memory)"
+        )
+    scores = correlation_scores(y, x).scores
 
-    best = np.full((n_pos + 1, k_max + 1), -np.inf)
-    choice = np.zeros((n_pos + 1, k_max + 1), dtype=bool)
-    best[:, 0] = 0.0
+    best = np.full((k_max + 1, n_pos + 1), -np.inf)
+    choice = np.zeros((k_max + 1, n_pos + 1), dtype=bool)
+    best[0] = 0.0
 
-    # Row reached by the previous placement when placing at start n-1.
-    prev_rows = np.maximum(np.arange(1, n_pos + 1) - length, 0)
+    # A placement at start n-1 continues from row max(n-L, 0) of the
+    # previous count: the first `lag` starts all continue from row 0.
+    lag = min(length, n_pos)
+    place = np.empty(n_pos)
     for j in range(1, k_max + 1):
-        place = best[prev_rows, j - 1] + scores
-        running = np.maximum.accumulate(place)
-        best[1:, j] = running
+        prev = best[j - 1]
+        np.add(prev[0], scores[:lag], out=place[:lag])
+        np.add(prev[1 : n_pos - lag + 1], scores[lag:], out=place[lag:])
+        np.maximum.accumulate(place, out=best[j, 1:])
         # Strict improvement over the skip branch marks a placement at n-1.
-        skip = np.concatenate(([-np.inf], running[:-1]))
-        choice[1:, j] = place > skip
-    return DpTable(best=best, choice=choice, n_samples=y.length, length=length)
+        choice[j, 1] = place[0] > -np.inf
+        np.greater(place[1:], best[j, 1:-1], out=choice[j, 2:])
+    return DpTable(best=best.T, choice=choice.T, n_samples=y.length, length=length)
 
 
 def dp_backtrack(table: DpTable, k: int) -> PlacementSet:
@@ -97,14 +136,13 @@ def dp_backtrack(table: DpTable, k: int) -> PlacementSet:
             f"{k} placements of length {table.length} do not fit in "
             f"N={table.n_samples} under the separation constraint"
         )
-    n_rows = table.best.shape[0]
-    rows = np.arange(n_rows)
+    choice = table.choice.T
     starts = []
-    n = n_rows - 1
+    n = choice.shape[1] - 1
     for j in range(k, 0, -1):
         # Most recent row (<= n) where the place branch strictly improved.
-        placed = np.where(table.choice[: n + 1, j], rows[: n + 1], 0)
-        r = int(placed.max())
+        placed = np.flatnonzero(choice[j, : n + 1])
+        r = int(placed[-1]) if placed.size else 0
         starts.append(r - 1)
         n = max(r - table.length, 0)
     starts.reverse()

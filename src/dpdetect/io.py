@@ -43,9 +43,26 @@ def read_template(path) -> SignalTemplate:
     return SignalTemplate(values)
 
 
-def _read_numeric_lines(path) -> list[float]:
+def _read_numeric_lines(path) -> np.ndarray:
+    lines = Path(path).read_text().splitlines()
+    tokens = [s for s in (line.strip() for line in lines) if s]
+    if not tokens:
+        raise ValidationError(f"{path}: no samples")
+    # One vectorized parse; numpy parses str elements as float() does. On a
+    # bad or non-finite token, the per-line loop finds and names its line.
+    try:
+        values = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(values).all():
+            return values
+    return np.array(_parse_lines_checked(path, lines))
+
+
+def _parse_lines_checked(path, lines) -> list[float]:
     values = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -56,8 +73,6 @@ def _read_numeric_lines(path) -> list[float]:
         if not np.isfinite(v):
             raise ValidationError(f"{path}:{lineno}: non-finite value")
         values.append(v)
-    if not values:
-        raise ValidationError(f"{path}: no samples")
     return values
 
 

@@ -204,3 +204,31 @@ def test_bad_config_values():
 def test_record_equality_is_field_based():
     r = BenchRecord(1.0, "dp", "known", 0.5, 0.5, 0.5, 0.0, 10)
     assert r == BenchRecord(1.0, "dp", "known", 0.5, 0.5, 0.5, 0.0, 10)
+
+
+def test_sweep_counts_failed_trials(tmp_path, caplog):
+    # Four placements of length 40 cannot fit in N=120: dp raises on every
+    # trial, greedy saturates without raising.
+    cfg = BenchConfig(
+        n_samples=120, length=12, k=4, sigma2_grid=(0.5,), trials=3,
+        methods=("dp", "greedy"), length_hat=40,
+    )
+    with caplog.at_level("WARNING", logger="dpdetect.bench"):
+        records = run_sweep(cfg)
+    assert {r.method: r.failures for r in records} == {"dp": 3, "greedy": 0}
+    assert len(caplog.records) == 3
+    path = tmp_path / "failed.csv"
+    emit_csv(records, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "sigma2,method,k_mode,f1,recall,precision,k_err,trials,failures"
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["3", "0"]
+    assert [r.failures for r in load_records(path)] == [3, 0]
+
+
+def test_sweep_without_failures_keeps_csv_layout(tmp_path):
+    records = run_sweep(SMALL)
+    assert all(r.failures == 0 for r in records)
+    path = tmp_path / "ok.csv"
+    emit_csv(records, path)
+    assert "failures" not in path.read_text()
+    assert [r.failures for r in load_records(path)] == [0] * len(records)

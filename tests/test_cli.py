@@ -158,6 +158,21 @@ def test_bench_config_file(tmp_path):
     assert out.exists()
 
 
+def test_bench_seed_flag_overrides_config_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n_samples": 120, "length": 12, "k": 4,
+        "sigma2_grid": [1.0], "trials": 5, "methods": ["random"], "seed": 5,
+    }))
+    paths = {}
+    for name, seed_args in (("none", []), ("s0", ["--seed", 0]), ("s5", ["--seed", 5])):
+        paths[name] = tmp_path / f"{name}.csv"
+        assert run(["bench", "--config", cfg, *seed_args, "--out", paths[name]]) == 0
+    text = {name: p.read_text() for name, p in paths.items()}
+    assert text["none"] == text["s5"]  # omitted --seed keeps the config's 5
+    assert text["s0"] != text["s5"]  # an explicit --seed 0 overrides it
+
+
 def test_scaling_command(tmp_path):
     out = tmp_path / "scaling.csv"
     assert run(["scaling", "--l", 20, "--density", 0.6, "--n-grid", "100,200",

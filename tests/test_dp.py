@@ -4,6 +4,7 @@ import pytest
 from dpdetect import (
     InfeasibleError,
     SynthConfig,
+    ValidationError,
     dp_backtrack,
     dp_detect,
     dp_objective_column,
@@ -14,6 +15,8 @@ from dpdetect import (
     synthesize,
     validate_placements,
 )
+from dpdetect import dp as dp_mod
+from dpdetect.xcorr import correlation_scores
 from conftest import brute_force_objective, random_instance
 
 
@@ -126,3 +129,78 @@ def test_backtrack_every_feasible_count():
         p = dp_backtrack(table, j)
         assert len(p) == j
         assert objective_value(y, x, p) == pytest.approx(col[j], abs=1e-12)
+
+
+def pointer_dp(scores, length, k_max):
+    """Cell-by-cell table fill with the kernel's strict place-over-skip rule."""
+    n_pos = len(scores)
+    best = np.full((n_pos + 1, k_max + 1), -np.inf)
+    choice = np.zeros((n_pos + 1, k_max + 1), dtype=bool)
+    best[:, 0] = 0.0
+    for j in range(1, k_max + 1):
+        for n in range(1, n_pos + 1):
+            skip = best[n - 1, j]
+            place = best[max(n - length, 0), j - 1] + scores[n - 1]
+            choice[n, j] = place > skip
+            best[n, j] = place if place > skip else skip
+    return best, choice
+
+
+def pointer_backtrack(choice, length, k):
+    starts = []
+    n = choice.shape[0] - 1
+    for j in range(k, 0, -1):
+        while not choice[n, j]:
+            n -= 1
+        starts.append(n - 1)
+        n = max(n - length, 0)
+    return starts[::-1]
+
+
+def test_kernel_matches_pointer_dp_bit_for_bit():
+    rng = np.random.default_rng(35)
+    for trial in range(400):
+        length = int(rng.integers(1, 9))
+        n = int(rng.integers(length, 50))  # M = n - length + 1 can be <= L
+        k_max = int(rng.integers(0, 7))  # k_max = 0 and infeasible counts
+        if trial % 2:
+            # Small integers make tied scores and tied optima common.
+            y = rng.integers(-2, 3, n).astype(float)
+            x = np.ones(length)
+        else:
+            y = rng.standard_normal(n)
+            x = rng.standard_normal(length)
+        table = dp_solve(y, x, k_max)
+        best, choice = pointer_dp(correlation_scores(y, x).scores, length, k_max)
+        assert np.array_equal(table.best, best)
+        assert np.array_equal(table.choice, choice)
+        for k in range(1, k_max + 1):
+            if np.isfinite(best[-1, k]):
+                starts = dp_backtrack(table, k).starts
+                assert starts.tolist() == pointer_backtrack(choice, length, k)
+
+
+def test_table_views_count_major_storage():
+    table = dp_solve(np.arange(30.0), np.ones(4), 5)
+    n_rows = 30 - 4 + 2
+    for view in (table.best, table.choice):
+        assert view.shape == (n_rows, 6)
+        assert view.base.shape == (6, n_rows)
+        assert view.base.flags.c_contiguous
+        assert np.shares_memory(view, view.base)
+
+
+def test_table_larger_than_limit_fails_before_allocating(monkeypatch):
+    def no_scoring(y, x):
+        raise AssertionError("scores computed for a table over the limit")
+
+    # M = 91 candidates and k_max = 9: 92 * 10 cells of 9 bytes each.
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 92 * 10 * 9 - 1)
+    monkeypatch.setattr(dp_mod, "correlation_scores", no_scoring)
+    with pytest.raises(ValidationError, match="needs 8280 bytes.*limit of 8279"):
+        dp_solve(np.ones(100), np.ones(10), 9)
+    with pytest.raises(ValidationError):
+        dp_detect(np.ones(100), np.ones(10), 9)
+    monkeypatch.undo()
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 92 * 10 * 9)
+    assert dp_solve(np.ones(100), np.ones(10), 9).best.shape == (92, 10)
