@@ -30,6 +30,7 @@ import numpy as np
 from .model import (
     ConvergenceError,
     DetectionResult,
+    InfeasibleError,
     PlacementSet,
     ValidationError,
     as_measurement,
@@ -159,8 +160,11 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
 
     The residual of the penalized solution increases with ``lam``; the
     bisection stops once it falls within ``[delta*(1-feas_tol), delta]``.
+    Raises :class:`InfeasibleError` when no step met the budget and the
+    last solve, at the smallest penalty tried, converged: its residual is
+    then the smallest the box allows, and it still exceeds ``delta``.
     Raises :class:`ConvergenceError` (carrying the best iterate) when no
-    feasible iterate is found within the outer budget.
+    step met the budget and that last solve hit ``max_iter``.
     """
     y = as_measurement(y)
     x = as_template(x)
@@ -213,6 +217,11 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
             # Penalty has collapsed: the (near) unconstrained fit sits
             # inside the budget, so take it as-is.
             break
+    if best is None and iters < cfg.max_iter:
+        raise InfeasibleError(
+            f"residual budget delta {delta:.6g} is below the smallest residual_sq "
+            f"the box allows ({trace[-1][1]:.6g} at penalty {trace[-1][0]:.3g})"
+        )
     if best is None:
         raise ConvergenceError(
             f"no feasible iterate within {cfg.max_outer} bisection steps "

@@ -26,12 +26,17 @@ placement.
 The table takes 9 bytes per cell (a float64 optimum and a bool choice).
 :func:`dp_solve` refuses, before computing any score, a table larger than
 :data:`TABLE_BYTES_LIMIT`, a quarter of physical memory.
+
+When only the final row is needed, for many score vectors at once,
+:func:`dp_final_rows` runs the same recurrence position-major over a block
+of columns and keeps only the last ``L`` rows, with no choice bits.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -45,7 +50,14 @@ from .model import (
 )
 from .xcorr import correlation_scores
 
-__all__ = ["DpTable", "dp_solve", "dp_backtrack", "dp_detect", "dp_objective_column"]
+__all__ = [
+    "DpTable",
+    "dp_solve",
+    "dp_backtrack",
+    "dp_detect",
+    "dp_objective_column",
+    "dp_final_rows",
+]
 
 # Bytes per table cell: a float64 optimum plus a bool choice.
 CELL_BYTES = 9
@@ -125,6 +137,47 @@ def dp_solve(y, x, k_max: int) -> DpTable:
         choice[j, 1] = place[0] > -np.inf
         np.greater(place[1:], best[j, 1:-1], out=choice[j, 2:])
     return DpTable(best=best.T, choice=choice.T, n_samples=y.length, length=length)
+
+
+def dp_final_rows(scores, length: int, k_max: int) -> np.ndarray:
+    """Final-row optima ``best[M][0..k_max]`` of every column of ``scores``.
+
+    ``scores`` has shape ``(M, B)``: one length-``M`` score vector per
+    column, for a template of length ``length``. Row ``b`` of the returned
+    ``(B, k_max+1)`` array equals ``dp_objective_column`` of a
+    :func:`dp_solve` on column ``b``, bit for bit: the cells see the same
+    adds and maxes in the same order.
+
+    The sweep runs over positions, not counts. A ring of ``L`` slabs of
+    shape ``(k_max+1, B)`` holds the last ``L`` rows, slab ``n % L``
+    holding ``best[n]``. Every slab starts as row 0 (0 for ``j = 0``,
+    -inf otherwise), so the slab about to be overwritten is always
+    ``best[max(n-L, 0)]``, and position ``n`` computes, for all counts
+    ``j >= 1`` and all columns at once,
+
+        best[n][j] = max(best[n-1][j], best[max(n-L, 0)][j-1] + scores[n-1])
+
+    in two vectorized calls. Memory is ``O(L·k_max·B)``, with no table.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[0] < 1:
+        raise ValidationError(f"expected an (M, B) score array, got shape {scores.shape}")
+    if length < 1:
+        raise ValidationError("template length must be positive")
+    if k_max < 0:
+        raise ValidationError("k_max must be non-negative")
+    n_pos, width = scores.shape
+    ring = np.full((length, k_max + 1, width), -np.inf)
+    ring[:, 0] = 0.0
+    # Slab pairs in visiting order: position n = 1, 2, ... writes slab n % L.
+    slabs = [(ring[n % length, 1:], ring[n % length, :-1]) for n in range(1, length + 1)]
+    tmp = np.empty((k_max, width))
+    prev = ring[0, 1:]
+    for s_row, (head, tail) in zip(scores, cycle(slabs)):
+        np.add(tail, s_row, out=tmp)
+        np.maximum(prev, tmp, out=head)
+        prev = head
+    return ring[n_pos % length].T.copy()
 
 
 def dp_backtrack(table: DpTable, k: int) -> PlacementSet:

@@ -9,18 +9,28 @@ multiset, giving a signal-free null with identical marginals. The
 estimate is the K maximizing the separation between the two curves.
 
 For the dynamic program the whole curve comes from a single table fill
-(the final row already holds the optimum for every K), so an estimate
-costs one solve on the data plus one per permutation. The greedy curve is
-the running sum of pick scores, again from a single pass.
+(the final row already holds the optimum for every K). The data gets one
+full :func:`~dpdetect.dp.dp_solve`, whose table the detection backtracks.
+The permutations need only their final rows, so their score vectors are
+stacked into blocks of ``B`` columns and swept position-major by
+:func:`~dpdetect.dp.dp_final_rows`, which keeps the last ``L`` rows and no
+table. ``B`` is the largest block whose scores and ring fit in the bytes of
+the data's table, so the nulls never take more memory than one solve.
+Where a block would hold fewer than :data:`SWEEP_MIN_CELLS` cells per
+position, the per-call overhead of the sweep outweighs its vector work,
+and each permutation gets its own :func:`~dpdetect.dp.dp_solve` instead.
+Both paths give the same values bit for bit. The greedy curve is the
+running sum of pick scores, again from a single pass.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import dp_backtrack, dp_objective_column, dp_solve
+from .dp import CELL_BYTES, dp_backtrack, dp_final_rows, dp_objective_column, dp_solve
 from .greedy import greedy_path
 from .model import (
     DetectionResult,
@@ -31,11 +41,18 @@ from .model import (
     as_measurement,
     as_template,
 )
+from .xcorr import correlation_scores
 
 __all__ = ["GapConfig", "GapCurve", "permute_measurement", "gap_curve", "estimate_k"]
 
 GAP_SIGNS = ("actual_minus_null", "null_minus_actual")
 DETECTORS = ("dp", "greedy")
+
+# Smallest block, in cells per position (B * (k_max+1)), that the DP nulls
+# sweep position-major; narrower blocks run one dp_solve per permutation.
+SWEEP_MIN_CELLS = 512
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -111,12 +128,7 @@ def _gap_curve_full(y, x, cfg, detector):
     x = as_template(x)
     actual, payload = _objective_curve(y, x, cfg.k_max, detector)
 
-    # Independent per-permutation streams; reduction order fixed by index.
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.perms)
-    null = np.empty((cfg.perms, cfg.k_max))
-    for i in range(cfg.perms):
-        permuted = permute_measurement(y, np.random.default_rng(children[i]))
-        null[i], _ = _objective_curve(permuted, x, cfg.k_max, detector)
+    null = _null_curves(y, x, cfg, detector)
     # Infeasible counts carry the -inf sentinel; keep them out of the moments.
     ok = np.isfinite(null).all(axis=0)
     null_mean = np.full(cfg.k_max, -np.inf)
@@ -144,6 +156,45 @@ def _gap_curve_full(y, x, cfg, detector):
         method=detector,
     )
     return curve, payload
+
+
+def _null_block_size(n_pos: int, length: int, k_max: int, perms: int) -> int:
+    """Permutations per sweep block: scores and ring within one table's bytes."""
+    table_bytes = (n_pos + 1) * (k_max + 1) * CELL_BYTES
+    column_bytes = 8 * (n_pos + length * (k_max + 1) + k_max)
+    return min(max(table_bytes // column_bytes, 1), perms)
+
+
+def _null_curves(y, x, cfg, detector):
+    """Objective curve per permutation, one row each, in permutation order."""
+    # Independent per-permutation streams; reduction order fixed by index.
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.perms)
+    permuted = (permute_measurement(y, np.random.default_rng(c)) for c in children)
+    null = np.empty((cfg.perms, cfg.k_max))
+    n_pos = y.length - x.length + 1
+    block = _null_block_size(n_pos, x.length, cfg.k_max, cfg.perms)
+    sweep = detector == "dp" and block * (cfg.k_max + 1) >= SWEEP_MIN_CELLS
+    if not sweep:
+        block = 1
+    log.debug(
+        "%s null: %s path, B=%d, blocks=%d, M=%d",
+        detector,
+        "sweep" if sweep else "per-permutation",
+        block,
+        -(-cfg.perms // block),
+        n_pos,
+    )
+    if not sweep:
+        for i, p in enumerate(permuted):
+            null[i], _ = _objective_curve(p, x, cfg.k_max, detector)
+        return null
+    scores = np.empty((n_pos, block))
+    for lo in range(0, cfg.perms, block):
+        width = min(block, cfg.perms - lo)
+        for c in range(width):
+            scores[:, c] = correlation_scores(next(permuted), x).scores
+        null[lo : lo + width] = dp_final_rows(scores[:, :width], x.length, cfg.k_max)[:, 1:]
+    return null
 
 
 def estimate_k(y, x, cfg: GapConfig, detector: str = "dp"):

@@ -99,6 +99,14 @@ def test_detect_infeasible_k(noiseless, capsys):
     assert capsys.readouterr().err.startswith("error:infeasible:")
 
 
+def test_detect_convex_infeasible_budget(tmp_path, capsys):
+    meas = tmp_path / "negative.txt"
+    meas.write_text("-3\n" * 50)
+    assert run(["detect", "--in", meas, "--rect", 5, "--method", "convex",
+                "--k", 1, "--delta", 1.0]) == 1
+    assert capsys.readouterr().err.startswith("error:infeasible:")
+
+
 def test_missing_file_is_io_error(capsys, tmp_path):
     assert run(["detect", "--in", tmp_path / "absent.txt", "--rect", 5, "--k", 1]) == 1
     assert capsys.readouterr().err.startswith("error:io:")

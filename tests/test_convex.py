@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from dpdetect import (
+    ConvergenceError,
     ConvexConfig,
+    InfeasibleError,
     SynthConfig,
     ValidationError,
     adjoint_op,
@@ -160,3 +162,20 @@ def test_detected_placements_always_valid():
 def test_bad_delta_rejected():
     with pytest.raises(ValidationError):
         denoise(np.ones(20), rect_template(4), ConvexConfig(sigma2=0.0))
+
+
+def test_budget_below_box_minimum_is_infeasible():
+    # y < 0 everywhere and s >= 0: the box's best residual is s = 0, 450.
+    with pytest.raises(InfeasibleError, match=r"delta 1 .*\(450 at"):
+        denoise(-3 * np.ones(50), np.ones(5), ConvexConfig(delta_override=1.0))
+
+
+def test_unconverged_infeasible_search_stays_convergence_error():
+    # The budget is below the box minimum (about 40.5) either way; only a
+    # converged last solve may call it infeasible.
+    y = np.random.default_rng(66).standard_normal(50)
+    with pytest.raises(ConvergenceError) as info:
+        denoise(y, np.ones(5), ConvexConfig(delta_override=1e-3, max_iter=3))
+    assert info.value.residual_sq > 40.0
+    with pytest.raises(InfeasibleError):
+        denoise(y, np.ones(5), ConvexConfig(delta_override=1e-3))

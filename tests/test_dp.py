@@ -7,6 +7,7 @@ from dpdetect import (
     ValidationError,
     dp_backtrack,
     dp_detect,
+    dp_final_rows,
     dp_objective_column,
     dp_solve,
     greedy_detect,
@@ -204,3 +205,54 @@ def test_table_larger_than_limit_fails_before_allocating(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 92 * 10 * 9)
     assert dp_solve(np.ones(100), np.ones(10), 9).best.shape == (92, 10)
+
+
+def test_final_rows_match_solve_per_column_bit_for_bit():
+    rng = np.random.default_rng(36)
+    for trial in range(300):
+        length = int(rng.integers(1, 9))  # L = 1 included
+        n = int(rng.integers(length, 60))  # M = n - length + 1 can be <= L
+        k_max = int(rng.integers(1, 8))  # k_max = 1 and infeasible counts
+        width = int(rng.integers(1, 6))
+        if trial % 2:
+            # Small integers make tied scores and tied optima common.
+            ys = rng.integers(-2, 3, (width, n)).astype(float)
+            x = np.ones(length)
+        else:
+            ys = rng.standard_normal((width, n))
+            x = rng.standard_normal(length)
+        scores = np.stack([correlation_scores(y, x).scores for y in ys], axis=1)
+        rows = dp_final_rows(scores, length, k_max)
+        assert rows.shape == (width, k_max + 1)
+        for b, y in enumerate(ys):
+            assert np.array_equal(rows[b], dp_objective_column(dp_solve(y, x, k_max)))
+
+
+def test_final_rows_rejects_bad_shapes():
+    with pytest.raises(ValidationError):
+        dp_final_rows(np.ones(5), 2, 3)
+    with pytest.raises(ValidationError):
+        dp_final_rows(np.ones((0, 2)), 2, 3)
+    with pytest.raises(ValidationError):
+        dp_final_rows(np.ones((5, 2)), 0, 3)
+
+
+def test_objective_column_concave_on_finite_prefix():
+    # Separated placements form a totally unimodular system, so the
+    # optimum is concave in the occurrence count.
+    rng = np.random.default_rng(37)
+    for trial in range(300):
+        length = int(rng.integers(1, 9))
+        n = int(rng.integers(length, 80))
+        k_max = int(rng.integers(2, 12))
+        if trial % 2:
+            y = rng.integers(-2, 3, n).astype(float)
+            x = np.ones(length)
+        else:
+            y = rng.standard_normal(n)
+            x = rng.standard_normal(length)
+        col = dp_objective_column(dp_solve(y, x, k_max))
+        finite = col[np.isfinite(col)]
+        assert np.isfinite(col[: finite.size]).all()  # a prefix
+        tol = 1e-9 * np.abs(finite).max()
+        assert (np.diff(finite, 2) <= tol).all()

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,106 @@ def test_pure_noise_has_no_sharp_peak():
         max_gaps.append(np.nanmax(curve.gap))
         spreads.append(curve.null_std.mean())
     assert abs(np.mean(max_gaps)) <= 3.0 * np.mean(spreads)
+
+
+def _curves_equal(a, b):
+    for field in ("k", "actual", "null_mean", "null_std", "gap"):
+        assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
+
+
+def _both_paths(monkeypatch, y, x, gcfg):
+    """gap_curve and estimate_k with every null swept, then with none swept."""
+    out = []
+    for min_cells in (0, 10**18):
+        monkeypatch.setattr(gap_mod, "SWEEP_MIN_CELLS", min_cells)
+        k_hat, result = estimate_k(y, x, gcfg, "dp")
+        out.append((gap_curve(y, x, gcfg, "dp"), k_hat, result))
+    return out
+
+
+def test_null_sweep_matches_per_permutation_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(61)
+    for trial in range(40):
+        length = int(rng.integers(1, 10))
+        n = int(rng.integers(length, 120))  # M <= L and infeasible counts
+        if trial % 2:
+            y = rng.integers(-2, 3, n).astype(float)  # tied scores
+            x = np.ones(length)
+        else:
+            y = rng.standard_normal(n)
+            x = rng.standard_normal(length)
+        gcfg = GapConfig(k_max=int(rng.integers(1, 9)), perms=int(rng.integers(1, 12)),
+                         seed=trial)
+        (swept, k_a, res_a), (looped, k_b, res_b) = _both_paths(monkeypatch, y, x, gcfg)
+        _curves_equal(swept, looped)
+        assert k_a == k_b and res_a.objective == res_b.objective
+        assert np.array_equal(res_a.placements.starts, res_b.placements.starts)
+
+
+def test_null_block_that_does_not_divide_perms(monkeypatch, caplog):
+    y = np.random.default_rng(62).standard_normal(2000)
+    x = rect_template(10)
+    gcfg = GapConfig(k_max=40, perms=50, seed=8)
+    with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
+        default = gap_curve(y, x, gcfg, "dp")
+    assert "sweep path, B=37, blocks=2, M=1991" in caplog.text
+    (swept, _, _), (looped, _, _) = _both_paths(monkeypatch, y, x, gcfg)
+    _curves_equal(default, swept)
+    _curves_equal(swept, looped)
+
+
+def test_wide_estimate_solves_only_the_data(monkeypatch):
+    calls = {"n": 0}
+    real = gap_mod.dp_solve
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gap_mod, "dp_solve", counting)
+    cfg = SynthConfig(n_samples=2000, length=10, k=12, sigma2=1.0, seed=63)
+    y, _ = synthesize(cfg, rect_template(10))
+    estimate_k(y, rect_template(10), GapConfig(k_max=40, perms=30, seed=9), "dp")
+    assert calls["n"] == 1  # the data only; the nulls are swept
+
+
+def test_null_path_logged(caplog):
+    y = np.random.default_rng(64).standard_normal(2000)
+    with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
+        gap_curve(y, rect_template(10), GapConfig(k_max=40, perms=30, seed=1), "dp")
+        gap_curve(y[:100], rect_template(10), GapConfig(k_max=6, perms=9, seed=1), "dp")
+    messages = [r.getMessage() for r in caplog.records if r.name == "dpdetect.gap"]
+    assert messages == [
+        "dp null: sweep path, B=30, blocks=1, M=1991",
+        "dp null: per-permutation path, B=1, blocks=9, M=91",
+    ]
+
+
+def _assert_concave(values, nondecreasing):
+    finite = values[np.isfinite(values)]
+    assert np.isfinite(values[: finite.size]).all()  # a prefix
+    tol = 1e-9 * np.abs(finite).max()
+    assert (np.diff(finite, 2) <= tol).all()
+    if nondecreasing:
+        assert (np.diff(finite) >= -tol).all()
+
+
+def test_curves_concave_and_nondecreasing():
+    rng = np.random.default_rng(65)
+    for trial in range(30):
+        length = int(rng.integers(1, 10))
+        k_max = int(rng.integers(2, 10))
+        if trial % 2:
+            n = int(rng.integers(length, 150))  # M <= L and infeasible counts
+            y = rng.standard_normal(n)
+            x = rng.standard_normal(length)
+        else:
+            # Non-negative scores with room for one more start beside any
+            # k_max - 1 others (M > (k_max - 1)(2L - 1)) make the optimum
+            # non-decreasing in K; concavity holds for any scores.
+            n = length - 1 + (k_max - 1) * (2 * length - 1) + int(rng.integers(1, 40))
+            y = rng.random(n) + (rng.random(n) < 0.1)
+            x = rect_template(length)
+        curve = gap_curve(y, x, GapConfig(k_max=k_max, perms=6, seed=trial), "dp")
+        _assert_concave(curve.actual, trial % 2 == 0)
+        _assert_concave(curve.null_mean, trial % 2 == 0)
