@@ -15,14 +15,7 @@ from .convex import (
     denoise,
     forward_op,
 )
-from .dp import (
-    DpTable,
-    dp_backtrack,
-    dp_detect,
-    dp_final_rows,
-    dp_objective_column,
-    dp_solve,
-)
+from .dp import DpTable, dp_backtrack, dp_detect, dp_objective_column, dp_solve
 from .gap import GapConfig, GapCurve, estimate_k, gap_curve, permute_measurement
 from .greedy import greedy_detect, greedy_path, random_detect
 from .metrics import ScoreReport, match_detections, score
@@ -64,7 +57,6 @@ __all__ = [
     "dp_backtrack",
     "dp_detect",
     "dp_objective_column",
-    "dp_final_rows",
     "dp_solve",
     "GapConfig",
     "GapCurve",

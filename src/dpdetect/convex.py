@@ -160,11 +160,12 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
 
     The residual of the penalized solution increases with ``lam``; the
     bisection stops once it falls within ``[delta*(1-feas_tol), delta]``.
-    Raises :class:`InfeasibleError` when no step met the budget and the
-    last solve, at the smallest penalty tried, converged: its residual is
-    then the smallest the box allows, and it still exceeds ``delta``.
-    Raises :class:`ConvergenceError` (carrying the best iterate) when no
-    step met the budget and that last solve hit ``max_iter``.
+    Raises :class:`InfeasibleError` when no step met the budget, the last
+    solve (at the smallest penalty tried) converged, and its residual
+    proves that no point of the box meets ``delta``. Raises
+    :class:`ConvergenceError` (carrying the best iterate) when no step met
+    the budget otherwise: that last solve hit ``max_iter``, or the search
+    ran out of steps before the penalty was small enough to tell.
     """
     y = as_measurement(y)
     x = as_template(x)
@@ -201,6 +202,7 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
         lam = 0.5 * (lo + hi)
         s, iters = _fista(yv, spec, lam, step, warm, cfg.max_iter, cfg.rel_tol)
         total_iters += iters
+        converged = iters < cfg.max_iter
         resid = yv - np.fft.irfft(np.fft.rfft(s) * spec, n)
         resid_sq = float(np.dot(resid, resid))
         trace.append((lam, resid_sq))
@@ -217,17 +219,22 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
             # Penalty has collapsed: the (near) unconstrained fit sits
             # inside the budget, so take it as-is.
             break
-    if best is None and iters < cfg.max_iter:
+    # The penalized optimum s_lam beats the box's least-residual point s_0
+    # on lam*||s||_1 + 0.5*r, and ||s_0||_1 <= n, so r(s_0) >= r(s_lam) - 2*lam*n.
+    last_lam, last_resid = trace[-1]
+    floor = last_resid - 2.0 * last_lam * n
+    if best is None and converged and floor > delta:
         raise InfeasibleError(
             f"residual budget delta {delta:.6g} is below the smallest residual_sq "
-            f"the box allows ({trace[-1][1]:.6g} at penalty {trace[-1][0]:.3g})"
+            f"the box allows ({last_resid:.6g} at penalty {last_lam:.3g}, "
+            f"so at least {floor:.6g})"
         )
     if best is None:
         raise ConvergenceError(
             f"no feasible iterate within {cfg.max_outer} bisection steps "
-            f"(best residual_sq {trace[-1][1]:.6g} vs delta {delta:.6g})",
+            f"(best residual_sq {last_resid:.6g} vs delta {delta:.6g})",
             best=warm,
-            residual_sq=trace[-1][1],
+            residual_sq=last_resid,
         )
     s, resid_sq, lam = best
     return DenoisedTrack(

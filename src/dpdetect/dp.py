@@ -29,7 +29,8 @@ The table takes 9 bytes per cell (a float64 optimum and a bool choice).
 
 When only the final row is needed, for many score vectors at once,
 :func:`dp_final_rows` runs the same recurrence position-major over a block
-of columns and keeps only the last ``L`` rows, with no choice bits.
+of columns and keeps only the last ``min(L, M+1)`` rows, with no choice
+bits.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "dp_backtrack",
     "dp_detect",
     "dp_objective_column",
-    "dp_final_rows",
 ]
 
 # Bytes per table cell: a float64 optimum plus a bool choice.
@@ -148,16 +148,19 @@ def dp_final_rows(scores, length: int, k_max: int) -> np.ndarray:
     :func:`dp_solve` on column ``b``, bit for bit: the cells see the same
     adds and maxes in the same order.
 
-    The sweep runs over positions, not counts. A ring of ``L`` slabs of
-    shape ``(k_max+1, B)`` holds the last ``L`` rows, slab ``n % L``
-    holding ``best[n]``. Every slab starts as row 0 (0 for ``j = 0``,
-    -inf otherwise), so the slab about to be overwritten is always
-    ``best[max(n-L, 0)]``, and position ``n`` computes, for all counts
-    ``j >= 1`` and all columns at once,
+    The sweep runs over positions, not counts. A ring of ``R = min(L, M+1)``
+    slabs of shape ``(k_max+1, B)`` holds the last ``R`` rows, slab
+    ``n % R`` holding ``best[n]``. Every slab starts as row 0 (0 for
+    ``j = 0``, -inf otherwise), so the slab about to be overwritten is
+    always ``best[max(n-L, 0)]``: for ``R = L`` it is ``L`` rows back, and
+    for ``R = M+1`` the ring never wraps and slab ``n`` is still row 0.
+    Position ``n`` computes, for all counts ``j >= 1`` and all columns at
+    once,
 
         best[n][j] = max(best[n-1][j], best[max(n-L, 0)][j-1] + scores[n-1])
 
-    in two vectorized calls. Memory is ``O(L·k_max·B)``, with no table.
+    in two vectorized calls. Memory is ``R·(k_max+1)·B`` floats, with no
+    table.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] < 1:
@@ -167,17 +170,18 @@ def dp_final_rows(scores, length: int, k_max: int) -> np.ndarray:
     if k_max < 0:
         raise ValidationError("k_max must be non-negative")
     n_pos, width = scores.shape
-    ring = np.full((length, k_max + 1, width), -np.inf)
+    slots = min(length, n_pos + 1)
+    ring = np.full((slots, k_max + 1, width), -np.inf)
     ring[:, 0] = 0.0
-    # Slab pairs in visiting order: position n = 1, 2, ... writes slab n % L.
-    slabs = [(ring[n % length, 1:], ring[n % length, :-1]) for n in range(1, length + 1)]
+    # Slab pairs in visiting order: position n = 1, 2, ... writes slab n % R.
+    slabs = [(ring[n % slots, 1:], ring[n % slots, :-1]) for n in range(1, slots + 1)]
     tmp = np.empty((k_max, width))
     prev = ring[0, 1:]
     for s_row, (head, tail) in zip(scores, cycle(slabs)):
         np.add(tail, s_row, out=tmp)
         np.maximum(prev, tmp, out=head)
         prev = head
-    return ring[n_pos % length].T.copy()
+    return ring[n_pos % slots].T.copy()
 
 
 def dp_backtrack(table: DpTable, k: int) -> PlacementSet:

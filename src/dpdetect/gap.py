@@ -13,12 +13,14 @@ For the dynamic program the whole curve comes from a single table fill
 full :func:`~dpdetect.dp.dp_solve`, whose table the detection backtracks.
 The permutations need only their final rows, so their score vectors are
 stacked into blocks of ``B`` columns and swept position-major by
-:func:`~dpdetect.dp.dp_final_rows`, which keeps the last ``L`` rows and no
-table. ``B`` is the largest block whose scores and ring fit in the bytes of
-the data's table, so the nulls never take more memory than one solve.
-Where a block would hold fewer than :data:`SWEEP_MIN_CELLS` cells per
-position, the per-call overhead of the sweep outweighs its vector work,
-and each permutation gets its own :func:`~dpdetect.dp.dp_solve` instead.
+:func:`~dpdetect.dp.dp_final_rows`, which keeps the last ``min(L, M+1)``
+rows and no table. ``B`` is the largest block whose scores and ring fit in
+the bytes of the data's table, so the nulls never take more memory than
+one solve. Where a block would hold fewer than :data:`SWEEP_MIN_CELLS`
+cells per position, the per-call overhead of the sweep outweighs its
+vector work, and each permutation gets its own
+:func:`~dpdetect.dp.dp_solve` instead; so it does where not even one
+column fits.
 Both paths give the same values bit for bit. The greedy curve is the
 running sum of pick scores, again from a single pass.
 """
@@ -50,6 +52,11 @@ DETECTORS = ("dp", "greedy")
 
 # Smallest block, in cells per position (B * (k_max+1)), that the DP nulls
 # sweep position-major; narrower blocks run one dp_solve per permutation.
+# The sweep pays two numpy calls per position whatever the block, the
+# per-permutation solve a scalar prefix-max per cell. Timed on a 2-CPU Xeon
+# (M = 500..20000, L = 5..50, blocks of 12..200 columns, all permutations
+# in one block included), the sweep was 1.3-2.1x slower below 300 cells,
+# mixed (0.6-1.3x) at 330-550 and 0.6-0.9x from 600 cells up.
 SWEEP_MIN_CELLS = 512
 
 log = logging.getLogger(__name__)
@@ -159,10 +166,14 @@ def _gap_curve_full(y, x, cfg, detector):
 
 
 def _null_block_size(n_pos: int, length: int, k_max: int, perms: int) -> int:
-    """Permutations per sweep block: scores and ring within one table's bytes."""
+    """Permutations per sweep block: scores and ring within one table's bytes.
+
+    Zero when not even one column fits.
+    """
     table_bytes = (n_pos + 1) * (k_max + 1) * CELL_BYTES
-    column_bytes = 8 * (n_pos + length * (k_max + 1) + k_max)
-    return min(max(table_bytes // column_bytes, 1), perms)
+    slots = min(length, n_pos + 1)
+    column_bytes = 8 * (n_pos + slots * (k_max + 1) + k_max)
+    return min(table_bytes // column_bytes, perms)
 
 
 def _null_curves(y, x, cfg, detector):
@@ -173,7 +184,8 @@ def _null_curves(y, x, cfg, detector):
     null = np.empty((cfg.perms, cfg.k_max))
     n_pos = y.length - x.length + 1
     block = _null_block_size(n_pos, x.length, cfg.k_max, cfg.perms)
-    sweep = detector == "dp" and block * (cfg.k_max + 1) >= SWEEP_MIN_CELLS
+    cells = block * (cfg.k_max + 1)
+    sweep = detector == "dp" and block >= 1 and cells >= SWEEP_MIN_CELLS
     if not sweep:
         block = 1
     log.debug(

@@ -179,3 +179,17 @@ def test_unconverged_infeasible_search_stays_convergence_error():
     assert info.value.residual_sq > 40.0
     with pytest.raises(InfeasibleError):
         denoise(y, np.ones(5), ConvexConfig(delta_override=1e-3))
+
+
+def test_search_out_of_steps_with_attainable_budget_stays_convergence_error():
+    # Three steps meet delta = 41; two stop at a penalty too large to tell
+    # whether the box can, so the search only ran out of steps.
+    y = np.random.default_rng(66).standard_normal(50)
+    with pytest.raises(ConvergenceError):
+        denoise(y, np.ones(5), ConvexConfig(delta_override=41.0, max_outer=2))
+    track = denoise(y, np.ones(5), ConvexConfig(delta_override=41.0, max_outer=3))
+    assert track.residual_sq <= 41.0
+    # One step suffices to prove the negative measurement infeasible.
+    with pytest.raises(InfeasibleError):
+        denoise(-3 * np.ones(50), np.ones(5),
+                ConvexConfig(delta_override=1.0, max_outer=1))

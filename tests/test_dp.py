@@ -7,7 +7,6 @@ from dpdetect import (
     ValidationError,
     dp_backtrack,
     dp_detect,
-    dp_final_rows,
     dp_objective_column,
     dp_solve,
     greedy_detect,
@@ -17,6 +16,7 @@ from dpdetect import (
     validate_placements,
 )
 from dpdetect import dp as dp_mod
+from dpdetect.dp import dp_final_rows
 from dpdetect.xcorr import correlation_scores
 from conftest import brute_force_objective, random_instance
 

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from dpdetect import (
     score,
     synthesize,
 )
+from dpdetect.dp import dp_final_rows
+from dpdetect.xcorr import correlation_scores
 
 
 def test_permutation_preserves_multiset():
@@ -181,6 +184,35 @@ def test_null_block_that_does_not_divide_perms(monkeypatch, caplog):
     (swept, _, _), (looped, _, _) = _both_paths(monkeypatch, y, x, gcfg)
     _curves_equal(default, swept)
     _curves_equal(swept, looped)
+
+
+def test_null_ring_within_table_bytes_when_template_outlasts_candidates(caplog):
+    # M = 11 candidates under an L = 1000 template: L slabs would take
+    # 1000 * 4001 * 8 bytes per column, min(L, M+1) = 12 slabs fit the table.
+    length, k_max = 1000, 4000
+    x = rect_template(length)
+    y = np.random.default_rng(67).standard_normal(length + 10)
+    table_bytes = 12 * (k_max + 1) * 9
+    with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
+        gap_curve(y, x, GapConfig(k_max=k_max, perms=3, seed=2), "dp")
+    assert "sweep path, B=1, blocks=3, M=11" in caplog.text
+    scores = correlation_scores(y, x).scores[:, None]
+    tracemalloc.start()
+    try:
+        rows = dp_final_rows(scores, length, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table_bytes + rows.nbytes
+    assert np.array_equal(rows[0], dp_objective_column(dp_solve(y, x, k_max)))
+
+
+def test_null_column_wider_than_table_solves_per_permutation(caplog):
+    # M = 1: two ring slabs and the spare row outweigh the two-row table.
+    y = np.random.default_rng(68).standard_normal(10)
+    with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
+        gap_curve(y, rect_template(10), GapConfig(k_max=600, perms=2, seed=3), "dp")
+    assert "per-permutation path, B=1, blocks=2, M=1" in caplog.text
 
 
 def test_wide_estimate_solves_only_the_data(monkeypatch):
