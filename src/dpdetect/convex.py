@@ -37,6 +37,7 @@ from .model import (
     as_template,
     objective_value,
 )
+from .greedy import separated_peaks
 
 __all__ = [
     "ConvexConfig",
@@ -59,6 +60,10 @@ class ConvexConfig:
     feas_tol: float = 0.01
     max_iter: int = 2000
     rel_tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.max_outer < 1:
+            raise ValidationError("max_outer must be >= 1")
 
     def delta(self, n_samples: int) -> float:
         d = (
@@ -130,7 +135,8 @@ def _fista(y, spec, lam, step, s0, max_iter, rel_tol):
 
     The gradient G^T G v - G^T y needs a single spectrum multiply per
     step since G^T G is circular convolution with |spec|^2. Momentum
-    restarts when it points against the latest progress.
+    restarts when it points against the latest progress. Returns the
+    iterate, the iterations run, and whether the step test was met.
     """
     n = y.size
     power = np.abs(spec) ** 2
@@ -151,8 +157,8 @@ def _fista(y, spec, lam, step, s0, max_iter, rel_tol):
         s = s_new
         t = t_new
         if delta <= rel_tol * max(1.0, np.linalg.norm(s)):
-            return s, it
-    return s, max_iter
+            return s, it, True
+    return s, max_iter, False
 
 
 def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
@@ -200,9 +206,8 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
     trace = []
     for _ in range(cfg.max_outer):
         lam = 0.5 * (lo + hi)
-        s, iters = _fista(yv, spec, lam, step, warm, cfg.max_iter, cfg.rel_tol)
+        s, iters, converged = _fista(yv, spec, lam, step, warm, cfg.max_iter, cfg.rel_tol)
         total_iters += iters
-        converged = iters < cfg.max_iter
         resid = yv - np.fft.irfft(np.fft.rfft(s) * spec, n)
         resid_sq = float(np.dot(resid, resid))
         trace.append((lam, resid_sq))
@@ -246,20 +251,6 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
     )
 
 
-def _pick_peaks(values, length: int, k: int) -> tuple[list[int], bool]:
-    """Largest entries subject to start-index separation; lowest index wins ties."""
-    masked = values.astype(float).copy()
-    n_pos = masked.size
-    picks: list[int] = []
-    for _ in range(k):
-        if not np.isfinite(masked).any():
-            return picks, True
-        s = int(np.argmax(masked))
-        picks.append(s)
-        masked[max(0, s - length + 1) : min(n_pos, s + length)] = -np.inf
-    return picks, False
-
-
 def convex_detect(y, x, k: int, cfg: ConvexConfig) -> DetectionResult:
     """Denoise, then pick the K largest separated entries as starts."""
     result, _ = convex_detect_full(y, x, k, cfg)
@@ -276,7 +267,7 @@ def convex_detect_full(
         raise ValidationError("need at least one occurrence to detect")
     track = denoise(y, x, cfg)
     valid = track.s[: y.length - x.length + 1]
-    picks, saturated = _pick_peaks(valid, x.length, k)
+    picks, saturated = separated_peaks(valid, x.length, k)
     placements = PlacementSet(sorted(picks), x.length)
     result = DetectionResult(
         placements=placements,

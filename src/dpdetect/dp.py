@@ -70,8 +70,9 @@ def _quarter_of_physical_memory() -> int | None:
         return None
 
 
-# Largest table, in bytes, that dp_solve allocates; None (no limit) where
-# the platform does not report physical memory.
+# Largest table, in bytes, that dp_solve allocates, and the cap on the gap
+# statistic's null block; None (no limit) where the platform does not
+# report physical memory.
 TABLE_BYTES_LIMIT = _quarter_of_physical_memory()
 
 
@@ -95,6 +96,29 @@ class DpTable:
         return self.best.shape[1] - 1
 
 
+def check_table(n_samples: int, length: int, k_max: int) -> int:
+    """Candidate count ``M`` of a table that :func:`dp_solve` may allocate.
+
+    Raises :class:`ValidationError` for a negative ``k_max``, a measurement
+    shorter than the template, or a table above :data:`TABLE_BYTES_LIMIT`.
+    """
+    if k_max < 0:
+        raise ValidationError("k_max must be non-negative")
+    if n_samples < length:
+        raise ValidationError(
+            f"measurement shorter than template ({n_samples} < {length})"
+        )
+    n_pos = n_samples - length + 1
+    needed = (n_pos + 1) * (k_max + 1) * CELL_BYTES
+    if TABLE_BYTES_LIMIT is not None and needed > TABLE_BYTES_LIMIT:
+        raise ValidationError(
+            f"DP table for M={n_pos} candidates and k_max={k_max} needs "
+            f"{needed} bytes, above the limit of {TABLE_BYTES_LIMIT} bytes "
+            "(a quarter of physical memory)"
+        )
+    return n_pos
+
+
 def dp_solve(y, x, k_max: int) -> DpTable:
     """Fill the table for every occurrence count ``j = 0 .. k_max``.
 
@@ -103,21 +127,8 @@ def dp_solve(y, x, k_max: int) -> DpTable:
     """
     y = as_measurement(y)
     x = as_template(x)
-    if k_max < 0:
-        raise ValidationError("k_max must be non-negative")
-    if y.length < x.length:
-        raise ValidationError(
-            f"measurement shorter than template ({y.length} < {x.length})"
-        )
+    n_pos = check_table(y.length, x.length, k_max)
     length = x.length
-    n_pos = y.length - length + 1
-    needed = (n_pos + 1) * (k_max + 1) * CELL_BYTES
-    if TABLE_BYTES_LIMIT is not None and needed > TABLE_BYTES_LIMIT:
-        raise ValidationError(
-            f"DP table for M={n_pos} candidates and k_max={k_max} needs "
-            f"{needed} bytes, above the limit of {TABLE_BYTES_LIMIT} bytes "
-            "(a quarter of physical memory)"
-        )
     scores = correlation_scores(y, x).scores
 
     best = np.full((k_max + 1, n_pos + 1), -np.inf)

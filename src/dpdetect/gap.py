@@ -12,16 +12,15 @@ For the dynamic program the whole curve comes from a single table fill
 (the final row already holds the optimum for every K). The data gets one
 full :func:`~dpdetect.dp.dp_solve`, whose table the detection backtracks.
 The permutations need only their final rows, so their score vectors are
-stacked into blocks of ``B`` columns and swept position-major by
+stacked as the columns of one block and swept position-major by
 :func:`~dpdetect.dp.dp_final_rows`, which keeps the last ``min(L, M+1)``
-rows and no table. ``B`` is the largest block whose scores and ring fit in
-the bytes of the data's table, so the nulls never take more memory than
-one solve. Where a block would hold fewer than :data:`SWEEP_MIN_CELLS`
-cells per position, the per-call overhead of the sweep outweighs its
-vector work, and each permutation gets its own
-:func:`~dpdetect.dp.dp_solve` instead; so it does where not even one
-column fits.
-Both paths give the same values bit for bit. The greedy curve is the
+rows and no table; the values equal one ``dp_solve`` per permutation bit
+for bit. All permutations share the block unless their scores and rows
+would pass :data:`dpdetect.dp.TABLE_BYTES_LIMIT`, the limit ``dp_solve``
+enforces; then the block holds as many as fit, and a measurement whose
+single column does not fit is refused before anything is allocated. The
+nulls are computed before the data's table is filled, so the table and
+the block are never alive at the same time. The greedy curve is the
 running sum of pick scores, again from a single pass.
 """
 
@@ -32,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import CELL_BYTES, dp_backtrack, dp_final_rows, dp_objective_column, dp_solve
+from . import dp
+from .dp import check_table, dp_backtrack, dp_final_rows, dp_objective_column, dp_solve
 from .greedy import greedy_path
 from .model import (
     DetectionResult,
@@ -49,15 +49,6 @@ __all__ = ["GapConfig", "GapCurve", "permute_measurement", "gap_curve", "estimat
 
 GAP_SIGNS = ("actual_minus_null", "null_minus_actual")
 DETECTORS = ("dp", "greedy")
-
-# Smallest block, in cells per position (B * (k_max+1)), that the DP nulls
-# sweep position-major; narrower blocks run one dp_solve per permutation.
-# The sweep pays two numpy calls per position whatever the block, the
-# per-permutation solve a scalar prefix-max per cell. Timed on a 2-CPU Xeon
-# (M = 500..20000, L = 5..50, blocks of 12..200 columns, all permutations
-# in one block included), the sweep was 1.3-2.1x slower below 300 cells,
-# mixed (0.6-1.3x) at 330-550 and 0.6-0.9x from 600 cells up.
-SWEEP_MIN_CELLS = 512
 
 log = logging.getLogger(__name__)
 
@@ -122,7 +113,6 @@ def _objective_curve(y, x, k_max: int, detector: str):
             curve[: running.size] = running
             curve[running.size :] = running[-1]
         return curve, picks
-    raise ValidationError(f"unknown detector {detector!r}")
 
 
 def gap_curve(y, x, cfg: GapConfig, detector: str = "dp") -> GapCurve:
@@ -133,9 +123,14 @@ def gap_curve(y, x, cfg: GapConfig, detector: str = "dp") -> GapCurve:
 def _gap_curve_full(y, x, cfg, detector):
     y = as_measurement(y)
     x = as_template(x)
+    if detector not in DETECTORS:
+        raise ValidationError(f"unknown detector {detector!r}")
+    if detector == "dp":
+        # The table's refusals come before any null work.
+        check_table(y.length, x.length, cfg.k_max)
+    null = _null_curves(y, x, cfg, detector)
     actual, payload = _objective_curve(y, x, cfg.k_max, detector)
 
-    null = _null_curves(y, x, cfg, detector)
     # Infeasible counts carry the -inf sentinel; keep them out of the moments.
     ok = np.isfinite(null).all(axis=0)
     null_mean = np.full(cfg.k_max, -np.inf)
@@ -166,14 +161,19 @@ def _gap_curve_full(y, x, cfg, detector):
 
 
 def _null_block_size(n_pos: int, length: int, k_max: int, perms: int) -> int:
-    """Permutations per sweep block: scores and ring within one table's bytes.
-
-    Zero when not even one column fits.
-    """
-    table_bytes = (n_pos + 1) * (k_max + 1) * CELL_BYTES
+    """Permutations per sweep block: all of them, unless the table limit bites."""
+    limit = dp.TABLE_BYTES_LIMIT
+    if limit is None:
+        return perms
     slots = min(length, n_pos + 1)
     column_bytes = 8 * (n_pos + slots * (k_max + 1) + k_max)
-    return min(table_bytes // column_bytes, perms)
+    if column_bytes > limit:
+        raise ValidationError(
+            f"one null column for M={n_pos} candidates and k_max={k_max} needs "
+            f"{column_bytes} bytes, above the limit of {limit} bytes "
+            "(a quarter of physical memory)"
+        )
+    return min(limit // column_bytes, perms)
 
 
 def _null_curves(y, x, cfg, detector):
@@ -183,20 +183,11 @@ def _null_curves(y, x, cfg, detector):
     permuted = (permute_measurement(y, np.random.default_rng(c)) for c in children)
     null = np.empty((cfg.perms, cfg.k_max))
     n_pos = y.length - x.length + 1
-    block = _null_block_size(n_pos, x.length, cfg.k_max, cfg.perms)
-    cells = block * (cfg.k_max + 1)
-    sweep = detector == "dp" and block >= 1 and cells >= SWEEP_MIN_CELLS
-    if not sweep:
-        block = 1
+    block = _null_block_size(n_pos, x.length, cfg.k_max, cfg.perms) if detector == "dp" else 1
     log.debug(
-        "%s null: %s path, B=%d, blocks=%d, M=%d",
-        detector,
-        "sweep" if sweep else "per-permutation",
-        block,
-        -(-cfg.perms // block),
-        n_pos,
+        "%s null: B=%d, blocks=%d, M=%d", detector, block, -(-cfg.perms // block), n_pos
     )
-    if not sweep:
+    if detector == "greedy":
         for i, p in enumerate(permuted):
             null[i], _ = _objective_curve(p, x, cfg.k_max, detector)
         return null

@@ -25,6 +25,24 @@ from .xcorr import correlation_scores
 __all__ = ["greedy_path", "greedy_detect", "random_detect"]
 
 
+def separated_peaks(values, length: int, k: int) -> tuple[list[int], bool]:
+    """Up to ``k`` largest entries whose indices lie at least ``length`` apart.
+
+    Returns the picks in selection order and a saturation flag, set when
+    every remaining index was blocked before ``k`` picks. Ties go to the
+    lowest index.
+    """
+    masked = np.array(values, dtype=float)
+    picks: list[int] = []
+    for _ in range(k):
+        s = int(np.argmax(masked))
+        if masked[s] == -np.inf:
+            return picks, True
+        picks.append(s)
+        masked[max(0, s - length + 1) : s + length] = -np.inf
+    return picks, False
+
+
 def greedy_path(y, x, k: int) -> tuple[list[int], list[float], bool]:
     """Picks in selection order, their scores, and a saturation flag.
 
@@ -38,22 +56,8 @@ def greedy_path(y, x, k: int) -> tuple[list[int], list[float], bool]:
     if k < 1:
         raise ValidationError("need at least one pick")
     scores = correlation_scores(y, x).scores
-    length = x.length
-    n_pos = scores.size
-    eligible = np.ones(n_pos, dtype=bool)
-    masked = scores.astype(float).copy()
-    picks: list[int] = []
-    pick_scores: list[float] = []
-    for _ in range(k):
-        if not eligible.any():
-            return picks, pick_scores, True
-        s = int(np.argmax(masked))
-        picks.append(s)
-        pick_scores.append(float(scores[s]))
-        blocked = slice(max(0, s - length + 1), min(n_pos, s + length))
-        eligible[blocked] = False
-        masked[blocked] = -np.inf
-    return picks, pick_scores, False
+    picks, saturated = separated_peaks(scores, x.length, k)
+    return picks, [float(scores[s]) for s in picks], saturated
 
 
 def greedy_detect(y, x, k: int) -> DetectionResult:

@@ -133,17 +133,17 @@ def test_peak_single_spike():
 
 
 def test_peak_tie_break_on_flat_track():
-    from dpdetect.convex import _pick_peaks
+    from dpdetect.greedy import separated_peaks
 
-    picks, saturated = _pick_peaks(np.zeros(20), 6, 2)
+    picks, saturated = separated_peaks(np.zeros(20), 6, 2)
     assert picks == [0, 6]
     assert not saturated
 
 
 def test_peak_saturation_flag():
-    from dpdetect.convex import _pick_peaks
+    from dpdetect.greedy import separated_peaks
 
-    picks, saturated = _pick_peaks(np.ones(5), 4, 3)
+    picks, saturated = separated_peaks(np.ones(5), 4, 3)
     assert len(picks) == 2
     assert saturated
 
@@ -193,3 +193,17 @@ def test_search_out_of_steps_with_attainable_budget_stays_convergence_error():
     with pytest.raises(InfeasibleError):
         denoise(-3 * np.ones(50), np.ones(5),
                 ConvexConfig(delta_override=1.0, max_outer=1))
+
+
+def test_convergence_on_the_last_allowed_iteration_counts_as_converged():
+    # Every solve's first step is a zero update, so with max_iter=1 each
+    # converges on its last allowed iteration and proves the budget infeasible.
+    with pytest.raises(InfeasibleError):
+        denoise(-3 * np.ones(50), np.ones(5),
+                ConvexConfig(delta_override=1.0, max_iter=1))
+
+
+def test_no_bisection_steps_rejected():
+    y = np.random.default_rng(71).standard_normal(50)
+    with pytest.raises(ValidationError):
+        denoise(y, np.ones(5), ConvexConfig(delta_override=1e-3, max_outer=0))

@@ -4,12 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dpdetect.dp as dp_mod
 import dpdetect.gap as gap_mod
 from dpdetect import (
+    DetectError,
     GapConfig,
     InfeasibleError,
     Measurement,
     SynthConfig,
+    ValidationError,
+    dp_backtrack,
     dp_objective_column,
     dp_solve,
     estimate_k,
@@ -20,7 +24,7 @@ from dpdetect import (
     score,
     synthesize,
 )
-from dpdetect.dp import dp_final_rows
+from dpdetect.dp import CELL_BYTES, dp_final_rows
 from dpdetect.xcorr import correlation_scores
 
 
@@ -94,25 +98,11 @@ def test_infeasible_counts_excluded_from_argmax():
 def test_all_infeasible_raises():
     # K=1 always fits once N >= L, so the only all-infeasible route is a
     # template longer than the measurement.
-    from dpdetect import DetectError
-
     with pytest.raises(DetectError):
         gap_curve(np.ones(4), np.ones(5), GapConfig(k_max=3, perms=2, seed=0), "dp")
-
-
-def test_estimate_uses_one_solve_per_measurement(monkeypatch):
-    calls = {"n": 0}
-    real = gap_mod.dp_solve
-
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(gap_mod, "dp_solve", counting)
-    cfg = SynthConfig(n_samples=100, length=10, k=3, sigma2=1.0, seed=57)
-    y, _ = synthesize(cfg, rect_template(10))
-    estimate_k(y, rect_template(10), GapConfig(k_max=6, perms=9, seed=4), "dp")
-    assert calls["n"] == 10  # one for the data, one per permutation
+    # M < 0: the length check must come before the null block is allocated.
+    with pytest.raises(DetectError):
+        gap_curve(np.ones(2), np.ones(5), GapConfig(k_max=3, perms=2, seed=0), "dp")
 
 
 def test_greedy_estimate_reuses_pick_prefix():
@@ -145,14 +135,38 @@ def _curves_equal(a, b):
         assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
 
 
-def _both_paths(monkeypatch, y, x, gcfg):
-    """gap_curve and estimate_k with every null swept, then with none swept."""
-    out = []
-    for min_cells in (0, 10**18):
-        monkeypatch.setattr(gap_mod, "SWEEP_MIN_CELLS", min_cells)
-        k_hat, result = estimate_k(y, x, gcfg, "dp")
-        out.append((gap_curve(y, x, gcfg, "dp"), k_hat, result))
-    return out
+def _reference_null(y, x, gcfg):
+    """Null rows from one dp_solve per permutation, on gap's seed streams."""
+    children = np.random.SeedSequence(gcfg.seed).spawn(gcfg.perms)
+    return np.array([
+        dp_objective_column(dp_solve(permute_measurement(y, np.random.default_rng(c)), x,
+                                     gcfg.k_max))[1:]
+        for c in children
+    ])
+
+
+def _assert_nulls_match_reference(monkeypatch, y, x, gcfg):
+    """Every null row of gap_curve and estimate_k equals the reference, bit for bit."""
+    rows = []
+    real = gap_mod._null_curves
+
+    def recording(*args):
+        rows.append(real(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(gap_mod, "_null_curves", recording)
+    curve = gap_curve(y, x, gcfg, "dp")
+    k_hat, result = estimate_k(y, x, gcfg, "dp")
+    ref = _reference_null(y, x, gcfg)
+    assert len(rows) == 2
+    for got in rows:
+        assert np.array_equal(got, ref)
+    table = dp_solve(y, x, gcfg.k_max)
+    ranked = np.where(np.isnan(curve.gap), -np.inf, curve.gap)
+    assert k_hat == int(np.argmax(ranked)) + 1
+    assert result.objective == table.best[-1, k_hat]
+    assert np.array_equal(result.placements.starts, dp_backtrack(table, k_hat).starts)
+    return curve
 
 
 def test_null_sweep_matches_per_permutation_bit_for_bit(monkeypatch):
@@ -168,22 +182,20 @@ def test_null_sweep_matches_per_permutation_bit_for_bit(monkeypatch):
             x = rng.standard_normal(length)
         gcfg = GapConfig(k_max=int(rng.integers(1, 9)), perms=int(rng.integers(1, 12)),
                          seed=trial)
-        (swept, k_a, res_a), (looped, k_b, res_b) = _both_paths(monkeypatch, y, x, gcfg)
-        _curves_equal(swept, looped)
-        assert k_a == k_b and res_a.objective == res_b.objective
-        assert np.array_equal(res_a.placements.starts, res_b.placements.starts)
+        _assert_nulls_match_reference(monkeypatch, y, x, gcfg)
 
 
 def test_null_block_that_does_not_divide_perms(monkeypatch, caplog):
     y = np.random.default_rng(62).standard_normal(2000)
     x = rect_template(10)
     gcfg = GapConfig(k_max=40, perms=50, seed=8)
+    default = gap_curve(y, x, gcfg, "dp")
+    # A limit of exactly the data's table leaves room for 37 null columns.
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 1992 * 41 * CELL_BYTES)
     with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
-        default = gap_curve(y, x, gcfg, "dp")
-    assert "sweep path, B=37, blocks=2, M=1991" in caplog.text
-    (swept, _, _), (looped, _, _) = _both_paths(monkeypatch, y, x, gcfg)
-    _curves_equal(default, swept)
-    _curves_equal(swept, looped)
+        blocked = _assert_nulls_match_reference(monkeypatch, y, x, gcfg)
+    assert "dp null: B=37, blocks=2, M=1991" in caplog.text
+    _curves_equal(default, blocked)
 
 
 def test_null_ring_within_table_bytes_when_template_outlasts_candidates(caplog):
@@ -195,7 +207,7 @@ def test_null_ring_within_table_bytes_when_template_outlasts_candidates(caplog):
     table_bytes = 12 * (k_max + 1) * 9
     with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
         gap_curve(y, x, GapConfig(k_max=k_max, perms=3, seed=2), "dp")
-    assert "sweep path, B=1, blocks=3, M=11" in caplog.text
+    assert "dp null: B=3, blocks=1, M=11" in caplog.text
     scores = correlation_scores(y, x).scores[:, None]
     tracemalloc.start()
     try:
@@ -207,12 +219,13 @@ def test_null_ring_within_table_bytes_when_template_outlasts_candidates(caplog):
     assert np.array_equal(rows[0], dp_objective_column(dp_solve(y, x, k_max)))
 
 
-def test_null_column_wider_than_table_solves_per_permutation(caplog):
+def test_null_column_wider_than_table_still_sweeps(monkeypatch, caplog):
     # M = 1: two ring slabs and the spare row outweigh the two-row table.
     y = np.random.default_rng(68).standard_normal(10)
+    gcfg = GapConfig(k_max=600, perms=2, seed=3)
     with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
-        gap_curve(y, rect_template(10), GapConfig(k_max=600, perms=2, seed=3), "dp")
-    assert "per-permutation path, B=1, blocks=2, M=1" in caplog.text
+        _assert_nulls_match_reference(monkeypatch, y, rect_template(10), gcfg)
+    assert "dp null: B=2, blocks=1, M=1" in caplog.text
 
 
 def test_wide_estimate_solves_only_the_data(monkeypatch):
@@ -224,10 +237,49 @@ def test_wide_estimate_solves_only_the_data(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gap_mod, "dp_solve", counting)
-    cfg = SynthConfig(n_samples=2000, length=10, k=12, sigma2=1.0, seed=63)
-    y, _ = synthesize(cfg, rect_template(10))
-    estimate_k(y, rect_template(10), GapConfig(k_max=40, perms=30, seed=9), "dp")
-    assert calls["n"] == 1  # the data only; the nulls are swept
+    cases = [
+        (SynthConfig(n_samples=2000, length=10, k=12, sigma2=1.0, seed=63),
+         GapConfig(k_max=40, perms=30, seed=9)),
+        (SynthConfig(n_samples=100, length=10, k=3, sigma2=1.0, seed=57),
+         GapConfig(k_max=6, perms=9, seed=4)),
+    ]
+    for cfg, gcfg in cases:
+        calls["n"] = 0
+        y, _ = synthesize(cfg, rect_template(10))
+        estimate_k(y, rect_template(10), gcfg, "dp")
+        assert calls["n"] == 1  # the data only; the nulls are swept
+
+
+def test_over_limit_table_refused_before_any_null_score(monkeypatch):
+    def no_scores(*args, **kwargs):
+        raise AssertionError("a null was scored")
+
+    monkeypatch.setattr(gap_mod, "correlation_scores", no_scores)
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 92 * 10 * CELL_BYTES - 1)
+    y = np.random.default_rng(69).standard_normal(100)
+    with pytest.raises(ValidationError, match="DP table .* above the limit"):
+        estimate_k(y, rect_template(10), GapConfig(k_max=9, perms=5, seed=0), "dp")
+    # M = 1, k_max = 600: the 2 x 601-cell table fits, one null column does not.
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 2 * 601 * CELL_BYTES)
+    with pytest.raises(ValidationError, match="one null column .* above the limit"):
+        estimate_k(y[:10], rect_template(10), GapConfig(k_max=600, perms=2, seed=0), "dp")
+
+
+def test_data_table_and_null_block_never_alive_together():
+    # The table (19992 x 41 cells at 9 bytes) and the null block (19991 x 30
+    # scores plus ring) are each about 5-7 MB; together they would pass 12 MB.
+    n, length, k_max, perms = 20000, 10, 40, 30
+    y = np.random.default_rng(70).standard_normal(n)
+    n_pos = n - length + 1
+    table_bytes = (n_pos + 1) * (k_max + 1) * CELL_BYTES
+    block_bytes = 8 * perms * (n_pos + length * (k_max + 1) + k_max)
+    tracemalloc.start()
+    try:
+        estimate_k(y, rect_template(length), GapConfig(k_max=k_max, perms=perms, seed=0), "dp")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes + block_bytes // 2
 
 
 def test_null_path_logged(caplog):
@@ -235,10 +287,12 @@ def test_null_path_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
         gap_curve(y, rect_template(10), GapConfig(k_max=40, perms=30, seed=1), "dp")
         gap_curve(y[:100], rect_template(10), GapConfig(k_max=6, perms=9, seed=1), "dp")
+        gap_curve(y[:100], rect_template(10), GapConfig(k_max=6, perms=9, seed=1), "greedy")
     messages = [r.getMessage() for r in caplog.records if r.name == "dpdetect.gap"]
     assert messages == [
-        "dp null: sweep path, B=30, blocks=1, M=1991",
-        "dp null: per-permutation path, B=1, blocks=9, M=91",
+        "dp null: B=30, blocks=1, M=1991",
+        "dp null: B=9, blocks=1, M=91",
+        "greedy null: B=1, blocks=9, M=91",
     ]
 
 
