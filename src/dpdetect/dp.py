@@ -13,18 +13,21 @@ to be at most ``n-1-L``. Row 0 holds the empty prefix: 0 for ``j = 0`` and
 clamped index correct for ``n < L``). The final row therefore carries the
 exact optimum for every occurrence count up to ``k_max``.
 
-The table is stored count-major: one contiguous length-``M+1`` row per
-occurrence count. Count ``j`` is filled from row ``j-1`` alone, shifted by
-``L`` and added to the scores, then closed with a running maximum, so the
-table costs O(M) contiguous numpy work per occurrence count on top of one
-score computation. One boolean per cell records whether the "place" branch
-won strictly; ties prefer the "skip" branch, which keeps the backtracked
-solution deterministic (among optima, the earliest improving position is
-kept at every level). The backtrack scans one contiguous choice row per
-placement.
+The fill streams over occurrence counts. Count ``j`` reads only row
+``j-1``, so two float64 rows of length ``M+1`` are kept and swapped per
+count: row ``j-1`` shifted by ``L`` and added to the scores, then closed
+with a running maximum, gives row ``j`` in O(M) contiguous numpy work. One
+choice bit per cell records whether the "place" branch won strictly; ties
+prefer the "skip" branch, which keeps the backtracked solution
+deterministic (among optima, the earliest improving position is kept at
+every level). Each count's choice row is packed eight cells to a byte and
+kept, together with the row's last cell, the optimum ``best[M][j]``. The
+backtrack scans one packed row per placement, backwards from the current
+position.
 
-The table takes 9 bytes per cell (a float64 optimum and a bool choice).
-:func:`dp_solve` refuses, before computing any score, a table larger than
+Per cell the table takes one bit; on top come the two float rows, the
+scores and the final row (see :func:`table_bytes`). :func:`dp_solve`
+refuses, before computing any score, a table larger than
 :data:`TABLE_BYTES_LIMIT`, a quarter of physical memory.
 
 When only the final row is needed, for many score vectors at once,
@@ -59,10 +62,6 @@ __all__ = [
     "dp_objective_column",
 ]
 
-# Bytes per table cell: a float64 optimum plus a bool choice.
-CELL_BYTES = 9
-
-
 def _quarter_of_physical_memory() -> int | None:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4
@@ -78,12 +77,14 @@ TABLE_BYTES_LIMIT = _quarter_of_physical_memory()
 
 @dataclass(frozen=True)
 class DpTable:
-    """Filled table of shape ``(M+1, k_max+1)`` plus the choice bits.
+    """Final row of the table plus the packed choice bits.
 
-    ``best[n][j]`` is -inf when ``j`` placements cannot fit in the first
-    ``n`` candidate positions; column 0 is identically zero. ``best`` and
-    ``choice`` are transposed views of C-contiguous ``(k_max+1, M+1)``
-    arrays, so the cells of one occurrence count are adjacent in memory.
+    ``best[j]`` is the optimum ``best[M][j]`` for ``j`` placements among all
+    ``M`` candidates, -inf when ``j`` placements cannot fit; ``best[0]`` is
+    zero. ``choice`` is a ``(k_max+1, (M+8)//8)`` uint8 array whose row
+    ``j`` holds, packed big-endian by :func:`numpy.packbits`, one bit per
+    prefix ``n = 0 .. M``: set when the place branch strictly won cell
+    ``(n, j)``.
     """
 
     best: np.ndarray
@@ -93,7 +94,18 @@ class DpTable:
 
     @property
     def k_max(self) -> int:
-        return self.best.shape[1] - 1
+        return self.best.shape[0] - 1
+
+
+def table_bytes(n_pos: int, k_max: int) -> int:
+    """Bytes of a :func:`dp_solve` table for ``M = n_pos`` and ``k_max``.
+
+    The packed choice bits, the two float64 rows, the final row and the
+    float64 scores: what :func:`check_table` holds against
+    :data:`TABLE_BYTES_LIMIT`.
+    """
+    bits = (k_max + 1) * ((n_pos + 8) // 8)
+    return bits + 8 * (2 * (n_pos + 1) + (k_max + 1) + n_pos)
 
 
 def check_table(n_samples: int, length: int, k_max: int) -> int:
@@ -109,7 +121,7 @@ def check_table(n_samples: int, length: int, k_max: int) -> int:
             f"measurement shorter than template ({n_samples} < {length})"
         )
     n_pos = n_samples - length + 1
-    needed = (n_pos + 1) * (k_max + 1) * CELL_BYTES
+    needed = table_bytes(n_pos, k_max)
     if TABLE_BYTES_LIMIT is not None and needed > TABLE_BYTES_LIMIT:
         raise ValidationError(
             f"DP table for M={n_pos} candidates and k_max={k_max} needs "
@@ -131,23 +143,28 @@ def dp_solve(y, x, k_max: int) -> DpTable:
     length = x.length
     scores = correlation_scores(y, x).scores
 
-    best = np.full((k_max + 1, n_pos + 1), -np.inf)
-    choice = np.zeros((k_max + 1, n_pos + 1), dtype=bool)
-    best[0] = 0.0
+    final = np.zeros(k_max + 1)
+    packed = np.zeros((k_max + 1, (n_pos + 8) // 8), dtype=np.uint8)
+    prev = np.zeros(n_pos + 1)  # row of count 0
+    cur = np.empty(n_pos + 1)
+    placed = np.zeros(n_pos + 1, dtype=bool)  # bit 0: the empty prefix places nothing
 
     # A placement at start n-1 continues from row max(n-L, 0) of the
     # previous count: the first `lag` starts all continue from row 0.
     lag = min(length, n_pos)
     place = np.empty(n_pos)
     for j in range(1, k_max + 1):
-        prev = best[j - 1]
         np.add(prev[0], scores[:lag], out=place[:lag])
         np.add(prev[1 : n_pos - lag + 1], scores[lag:], out=place[lag:])
-        np.maximum.accumulate(place, out=best[j, 1:])
+        cur[0] = -np.inf
+        np.maximum.accumulate(place, out=cur[1:])
         # Strict improvement over the skip branch marks a placement at n-1.
-        choice[j, 1] = place[0] > -np.inf
-        np.greater(place[1:], best[j, 1:-1], out=choice[j, 2:])
-    return DpTable(best=best.T, choice=choice.T, n_samples=y.length, length=length)
+        placed[1] = place[0] > -np.inf
+        np.greater(place[1:], cur[1:-1], out=placed[2:])
+        packed[j] = np.packbits(placed)
+        final[j] = cur[n_pos]
+        prev, cur = cur, prev
+    return DpTable(best=final, choice=packed, n_samples=y.length, length=length)
 
 
 def dp_final_rows(scores, length: int, k_max: int) -> np.ndarray:
@@ -186,7 +203,12 @@ def dp_final_rows(scores, length: int, k_max: int) -> np.ndarray:
     ring[:, 0] = 0.0
     # Slab pairs in visiting order: position n = 1, 2, ... writes slab n % R.
     slabs = [(ring[n % slots, 1:], ring[n % slots, :-1]) for n in range(1, slots + 1)]
-    tmp = np.empty((k_max, width))
+    # Every position writes and reads this scratch slab. numpy promises only
+    # 16-byte alignment, and a slab that straddles cache lines made the sweep
+    # about a quarter slower, so start it on a 64-byte line.
+    spare = np.empty(k_max * width + 8)
+    skip = (-spare.ctypes.data % 64) // 8
+    tmp = spare[skip : skip + k_max * width].reshape(k_max, width)
     prev = ring[0, 1:]
     for s_row, (head, tail) in zip(scores, cycle(slabs)):
         np.add(tail, s_row, out=tmp)
@@ -195,22 +217,41 @@ def dp_final_rows(scores, length: int, k_max: int) -> np.ndarray:
     return ring[n_pos % slots].T.copy()
 
 
+def _last_set_bit(row: np.ndarray, n: int) -> int:
+    """Largest ``i <= n`` whose bit is set in the packed ``row``, else 0."""
+    hi = n >> 3
+    # Keep the bits of cells 8*hi .. n; packbits puts cell 8*hi in the MSB.
+    byte = int(row[hi]) & (0xFF << (7 - (n & 7))) & 0xFF
+    width = 64
+    while not byte:
+        if hi == 0:
+            return 0
+        lo = max(hi - width, 0)
+        nonzero = np.flatnonzero(row[lo:hi])
+        if nonzero.size:
+            hi = lo + int(nonzero[-1])
+            byte = int(row[hi])
+        else:
+            hi = lo
+            width *= 2
+    # The lowest set bit of the byte is its last cell.
+    return 8 * hi + 8 - (byte & -byte).bit_length()
+
+
 def dp_backtrack(table: DpTable, k: int) -> PlacementSet:
     """Recover one optimal placement set for ``k`` occurrences."""
     if not 0 <= k <= table.k_max:
         raise ValidationError(f"k={k} outside table range 0..{table.k_max}")
-    if not np.isfinite(table.best[-1, k]):
+    if not np.isfinite(table.best[k]):
         raise InfeasibleError(
             f"{k} placements of length {table.length} do not fit in "
             f"N={table.n_samples} under the separation constraint"
         )
-    choice = table.choice.T
     starts = []
-    n = choice.shape[1] - 1
+    n = table.n_samples - table.length + 1
     for j in range(k, 0, -1):
         # Most recent row (<= n) where the place branch strictly improved.
-        placed = np.flatnonzero(choice[j, : n + 1])
-        r = int(placed[-1]) if placed.size else 0
+        r = _last_set_bit(table.choice[j], n)
         starts.append(r - 1)
         n = max(r - table.length, 0)
     starts.reverse()
@@ -228,12 +269,12 @@ def dp_detect(y, x, k: int) -> DetectionResult:
     placements = dp_backtrack(table, k)
     return DetectionResult(
         placements=placements,
-        objective=float(table.best[-1, k]),
+        objective=float(table.best[k]),
         method="dp",
         k_hat=k,
     )
 
 
 def dp_objective_column(table: DpTable) -> np.ndarray:
-    """Final-row optima for ``j = 0 .. k_max`` (read-only copy)."""
-    return table.best[-1, :].copy()
+    """Final-row optima for ``j = 0 .. k_max`` (a copy)."""
+    return table.best.copy()

@@ -10,7 +10,7 @@ estimate is the K maximizing the separation between the two curves.
 
 For the dynamic program the whole curve comes from a single table fill
 (the final row already holds the optimum for every K). The data gets one
-full :func:`~dpdetect.dp.dp_solve`, whose table the detection backtracks.
+:func:`~dpdetect.dp.dp_solve`, whose choice bits the detection backtracks.
 The permutations need only their final rows, so their score vectors are
 stacked as the columns of one block and swept position-major by
 :func:`~dpdetect.dp.dp_final_rows`, which keeps the last ``min(L, M+1)``

@@ -44,20 +44,33 @@ class ScoreTrack:
         return np.arange(self.scores.size) + self.length // 2
 
 
-def _check_lengths(y, x):
+def _coerce(y, x):
+    """Coerce both inputs; the template must fit in the measurement."""
+    y = as_measurement(y)
+    x = as_template(x)
     if y.length < x.length:
         raise ValidationError(
             f"measurement shorter than template ({y.length} < {x.length})"
         )
+    return y, x
+
+
+def _direct(y, x) -> ScoreTrack:
+    scores = np.correlate(y.samples, x.samples, mode="valid")
+    return ScoreTrack(scores=scores, n_samples=y.length, length=x.length)
+
+
+def _fft(y, x) -> ScoreTrack:
+    n, length = y.length, x.length
+    nfft = 1 << int(np.ceil(np.log2(n + length - 1)))
+    spec = np.fft.rfft(y.samples, nfft) * np.conj(np.fft.rfft(x.samples, nfft))
+    scores = np.fft.irfft(spec, nfft)[: n - length + 1]
+    return ScoreTrack(scores=scores, n_samples=n, length=length)
 
 
 def correlation_scores_direct(y, x) -> ScoreTrack:
     """Scores by direct summation (numpy sliding dot product)."""
-    y = as_measurement(y)
-    x = as_template(x)
-    _check_lengths(y, x)
-    scores = np.correlate(y.samples, x.samples, mode="valid")
-    return ScoreTrack(scores=scores, n_samples=y.length, length=x.length)
+    return _direct(*_coerce(y, x))
 
 
 def correlation_scores_fft(y, x) -> ScoreTrack:
@@ -66,14 +79,7 @@ def correlation_scores_fft(y, x) -> ScoreTrack:
     Zero-pads to the next power of two at or above ``N + L - 1`` so the
     circular product never wraps into the valid range.
     """
-    y = as_measurement(y)
-    x = as_template(x)
-    _check_lengths(y, x)
-    n, length = y.length, x.length
-    nfft = 1 << int(np.ceil(np.log2(n + length - 1)))
-    spec = np.fft.rfft(y.samples, nfft) * np.conj(np.fft.rfft(x.samples, nfft))
-    scores = np.fft.irfft(spec, nfft)[: n - length + 1]
-    return ScoreTrack(scores=scores, n_samples=n, length=length)
+    return _fft(*_coerce(y, x))
 
 
 def correlation_scores(y, x, method: str = "auto") -> ScoreTrack:
@@ -82,16 +88,10 @@ def correlation_scores(y, x, method: str = "auto") -> ScoreTrack:
     ``auto`` picks FFT once the direct multiply count at this size exceeds
     a fixed budget; both paths agree to ~1e-12 relative error.
     """
-    if method == "direct":
-        return correlation_scores_direct(y, x)
-    if method == "fft":
-        return correlation_scores_fft(y, x)
-    if method != "auto":
+    if method not in ("auto", "direct", "fft"):
         raise ValidationError(f"unknown correlation method {method!r}")
-    y = as_measurement(y)
-    x = as_template(x)
-    _check_lengths(y, x)
-    cost = (y.length - x.length + 1) * x.length
-    if cost > _FFT_CUTOVER_MULTIPLIES:
-        return correlation_scores_fft(y, x)
-    return correlation_scores_direct(y, x)
+    y, x = _coerce(y, x)
+    if method == "auto":
+        cost = (y.length - x.length + 1) * x.length
+        method = "fft" if cost > _FFT_CUTOVER_MULTIPLIES else "direct"
+    return _fft(y, x) if method == "fft" else _direct(y, x)

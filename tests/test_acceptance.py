@@ -216,17 +216,19 @@ def test_c08_dp_runtime_scaling():
     rng = np.random.default_rng(1009)
     x = rng.standard_normal(64)
     best = {}
-    for n in (1 << 14, 1 << 15, 1 << 16):
+    # Sizes large enough that each timing (about 20 ms and up) stands well
+    # above scheduler jitter, and the best of 7 calls per size.
+    for n in (1 << 17, 1 << 18, 1 << 19):
         y = rng.standard_normal(n)
         dp_detect(y, x, 8)  # warm up
         t_best = np.inf
-        for _ in range(3):
+        for _ in range(7):
             t0 = time.perf_counter()
             dp_detect(y, x, 8)
             t_best = min(t_best, time.perf_counter() - t0)
         best[n] = t_best
-    r1 = best[1 << 15] / best[1 << 14]
-    r2 = best[1 << 16] / best[1 << 15]
+    r1 = best[1 << 18] / best[1 << 17]
+    r2 = best[1 << 19] / best[1 << 18]
     _report(8, r1 <= 2.5 and r2 <= 2.5,
             f"doubling ratios {r1:.2f}, {r2:.2f} (times "
             + ", ".join(f"{n}: {t * 1e3:.1f}ms" for n, t in best.items()) + ")")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,13 @@ from conftest import brute_force_objective, random_instance
 
 def test_solve_example_two_rects():
     table = dp_solve([1, 1, 0, 1, 1, 0], [1, 1], 2)
-    assert table.best[-1, 2] == 4.0
+    assert table.best[2] == 4.0
 
 
 def test_solve_example_dense_pair():
     # scores are [3, 4, 3]; the greedy-blocking case where {0, 2} wins
     table = dp_solve([1, 2, 2, 1], [1, 1], 2)
-    assert table.best[-1, 2] == 6.0
+    assert table.best[2] == 6.0
 
 
 def test_solve_single_placement_is_max_score():
@@ -38,7 +40,7 @@ def test_solve_single_placement_is_max_score():
     x = rng.standard_normal(6)
     table = dp_solve(y, x, 1)
     expected = max(float(np.dot(y[s : s + 6], x)) for s in range(45))
-    assert table.best[-1, 1] == pytest.approx(expected, rel=1e-12)
+    assert table.best[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_objective_column_examples():
@@ -90,7 +92,13 @@ def test_rows_monotone_and_placements_valid():
     for _ in range(30):
         y, x, k = random_instance(rng)
         table = dp_solve(y, x, k)
-        assert np.all(table.best[1:] >= table.best[:-1])
+        # Row n of the table is the final row of the solve on the first n
+        # candidates, i.e. on y[:L-1+n].
+        rows = np.array(
+            [dp_solve(y[: len(x) - 1 + n], x, k).best for n in range(1, len(y) - len(x) + 2)]
+        )
+        assert np.all(rows[1:] >= rows[:-1])
+        assert np.array_equal(rows[-1], table.best)
         p = dp_backtrack(table, k)
         assert validate_placements(p, len(y), len(x))
 
@@ -173,8 +181,10 @@ def test_kernel_matches_pointer_dp_bit_for_bit():
             x = rng.standard_normal(length)
         table = dp_solve(y, x, k_max)
         best, choice = pointer_dp(correlation_scores(y, x).scores, length, k_max)
-        assert np.array_equal(table.best, best)
-        assert np.array_equal(table.choice, choice)
+        bits = np.unpackbits(table.choice, axis=1, count=n - length + 2).astype(bool)
+        assert np.array_equal(bits, choice.T)
+        assert not np.unpackbits(table.choice, axis=1)[:, n - length + 2 :].any()
+        assert np.array_equal(table.best, best[-1])
         for k in range(1, k_max + 1):
             if np.isfinite(best[-1, k]):
                 starts = dp_backtrack(table, k).starts
@@ -183,28 +193,51 @@ def test_kernel_matches_pointer_dp_bit_for_bit():
 
 def test_table_views_count_major_storage():
     table = dp_solve(np.arange(30.0), np.ones(4), 5)
-    n_rows = 30 - 4 + 2
-    for view in (table.best, table.choice):
-        assert view.shape == (n_rows, 6)
-        assert view.base.shape == (6, n_rows)
-        assert view.base.flags.c_contiguous
-        assert np.shares_memory(view, view.base)
+    n_pos = 30 - 4 + 1
+    assert table.choice.shape == (6, (n_pos + 8) // 8)
+    assert table.choice.dtype == np.uint8
+    assert table.best.shape == (6,) and table.best.dtype == np.float64
+    assert table.k_max == 5
 
 
 def test_table_larger_than_limit_fails_before_allocating(monkeypatch):
     def no_scoring(y, x):
         raise AssertionError("scores computed for a table over the limit")
 
-    # M = 91 candidates and k_max = 9: 92 * 10 cells of 9 bytes each.
-    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 92 * 10 * 9 - 1)
+    # M = 91 candidates and k_max = 9.
+    needed = dp_mod.table_bytes(91, 9)
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", needed - 1)
     monkeypatch.setattr(dp_mod, "correlation_scores", no_scoring)
-    with pytest.raises(ValidationError, match="needs 8280 bytes.*limit of 8279"):
+    with pytest.raises(ValidationError, match=f"needs {needed} bytes.*limit of {needed - 1}"):
         dp_solve(np.ones(100), np.ones(10), 9)
     with pytest.raises(ValidationError):
         dp_detect(np.ones(100), np.ones(10), 9)
     monkeypatch.undo()
-    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 92 * 10 * 9)
-    assert dp_solve(np.ones(100), np.ones(10), 9).best.shape == (92, 10)
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", needed)
+    assert dp_solve(np.ones(100), np.ones(10), 9).choice.shape == (10, 12)
+
+
+def test_limit_admits_wide_tables_at_one_bit_per_cell(monkeypatch):
+    # M = 1e5, k_max = 3000: 37.5 MB of choice bits, where a float64 and a
+    # bool per cell took 2.70e9 bytes.
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 64 << 20)
+    assert dp_mod.check_table(100_019, 20, 3000) == 100_000
+    assert dp_mod.table_bytes(100_000, 3000) == 3001 * 12_501 + 8 * (2 * 100_001 + 3001 + 100_000)
+
+
+def test_solve_memory_far_below_full_table():
+    n, length, k_max = 1 << 17, 20, 96
+    rng = np.random.default_rng(38)
+    y, x = rng.standard_normal(n), rng.standard_normal(length)
+    full_table_bytes = (n - length + 2) * (k_max + 1) * 9
+    tracemalloc.start()
+    try:
+        table = dp_solve(y, x, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_table_bytes / 8
+    assert len(dp_backtrack(table, k_max)) == k_max
 
 
 def test_final_rows_match_solve_per_column_bit_for_bit():

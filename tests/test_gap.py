@@ -24,7 +24,7 @@ from dpdetect import (
     score,
     synthesize,
 )
-from dpdetect.dp import CELL_BYTES, dp_final_rows
+from dpdetect.dp import dp_final_rows
 from dpdetect.xcorr import correlation_scores
 
 
@@ -164,7 +164,7 @@ def _assert_nulls_match_reference(monkeypatch, y, x, gcfg):
     table = dp_solve(y, x, gcfg.k_max)
     ranked = np.where(np.isnan(curve.gap), -np.inf, curve.gap)
     assert k_hat == int(np.argmax(ranked)) + 1
-    assert result.objective == table.best[-1, k_hat]
+    assert result.objective == table.best[k_hat]
     assert np.array_equal(result.placements.starts, dp_backtrack(table, k_hat).starts)
     return curve
 
@@ -190,8 +190,8 @@ def test_null_block_that_does_not_divide_perms(monkeypatch, caplog):
     x = rect_template(10)
     gcfg = GapConfig(k_max=40, perms=50, seed=8)
     default = gap_curve(y, x, gcfg, "dp")
-    # A limit of exactly the data's table leaves room for 37 null columns.
-    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 1992 * 41 * CELL_BYTES)
+    # A limit of 1992 * 41 * 9 bytes leaves room for 37 null columns.
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 1992 * 41 * 9)
     with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
         blocked = _assert_nulls_match_reference(monkeypatch, y, x, gcfg)
     assert "dp null: B=37, blocks=2, M=1991" in caplog.text
@@ -255,23 +255,24 @@ def test_over_limit_table_refused_before_any_null_score(monkeypatch):
         raise AssertionError("a null was scored")
 
     monkeypatch.setattr(gap_mod, "correlation_scores", no_scores)
-    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 92 * 10 * CELL_BYTES - 1)
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", dp_mod.table_bytes(91, 9) - 1)
     y = np.random.default_rng(69).standard_normal(100)
     with pytest.raises(ValidationError, match="DP table .* above the limit"):
         estimate_k(y, rect_template(10), GapConfig(k_max=9, perms=5, seed=0), "dp")
     # M = 1, k_max = 600: the 2 x 601-cell table fits, one null column does not.
-    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 2 * 601 * CELL_BYTES)
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 2 * 601 * 9)
     with pytest.raises(ValidationError, match="one null column .* above the limit"):
         estimate_k(y[:10], rect_template(10), GapConfig(k_max=600, perms=2, seed=0), "dp")
 
 
 def test_data_table_and_null_block_never_alive_together():
-    # The table (19992 x 41 cells at 9 bytes) and the null block (19991 x 30
+    # A full table (19992 x 41 cells at 9 bytes) and the null block (19991 x 30
     # scores plus ring) are each about 5-7 MB; together they would pass 12 MB.
+    # The bound keeps that full-table size.
     n, length, k_max, perms = 20000, 10, 40, 30
     y = np.random.default_rng(70).standard_normal(n)
     n_pos = n - length + 1
-    table_bytes = (n_pos + 1) * (k_max + 1) * CELL_BYTES
+    table_bytes = (n_pos + 1) * (k_max + 1) * 9
     block_bytes = 8 * perms * (n_pos + length * (k_max + 1) + k_max)
     tracemalloc.start()
     try:
