@@ -8,6 +8,10 @@ length's radius. Per-trial seeds are derived as ``base_seed + trial_index``
 so trials are independent and the whole sweep is reproducible; per-trial
 detector failures are logged, scored as empty detections and counted in the
 record's ``failures``.
+
+Both sweeps (:func:`run_sweep` over noise, :func:`run_length_scaling` over
+the measurement length) yield :class:`BenchRecord` rows, written by
+:func:`emit_csv` and :func:`emit_svg` with ``x`` naming the swept field.
 """
 
 from __future__ import annotations
@@ -24,27 +28,23 @@ from .dp import dp_detect
 from .gap import GapConfig, estimate_k
 from .greedy import greedy_detect, random_detect
 from .metrics import score
-from .model import DetectError, PlacementSet, ValidationError
+from .model import METHODS, DetectError, PlacementSet, ValidationError
 from .synth import SEPARATIONS, SynthConfig, rect_template, synthesize
 
 __all__ = [
     "BenchConfig",
     "BenchRecord",
-    "ScalingRecord",
     "run_sweep",
     "run_length_scaling",
     "emit_csv",
-    "emit_scaling_csv",
     "load_records",
     "emit_svg",
-    "emit_scaling_svg",
     "load_config",
 ]
 
 log = logging.getLogger(__name__)
 
 K_MODES = ("known", "gap")
-_BENCH_METHODS = ("dp", "greedy", "convex", "random")
 _CONVEX_N_LIMIT = 200
 
 
@@ -81,7 +81,7 @@ class BenchConfig:
             raise ValidationError("sigma2 grid entries must be non-negative")
         if not self.methods:
             raise ValidationError("need at least one method")
-        unknown = set(self.methods) - set(_BENCH_METHODS)
+        unknown = set(self.methods) - METHODS
         if unknown:
             raise ValidationError(f"unknown methods {sorted(unknown)}")
         if self.separation not in SEPARATIONS:
@@ -111,6 +111,8 @@ class BenchRecord:
 
     ``failures`` counts the trials whose detector raised a
     :class:`DetectError`; those are scored as empty detections.
+    ``n_samples`` is the measurement length (``None`` when read back from a
+    sweep CSV, which has no N column).
     """
 
     sigma2: float
@@ -122,18 +124,7 @@ class BenchRecord:
     mean_k_err: float
     trials: int
     failures: int = 0
-
-
-@dataclass(frozen=True)
-class ScalingRecord:
-    n_samples: int
-    method: str
-    k_mode: str
-    mean_f1: float
-    mean_recall: float
-    mean_precision: float
-    mean_k_err: float
-    trials: int
+    n_samples: int | None = None
 
 
 def _detect_one(method, y, template, cfg: BenchConfig, sigma2, rng, trial_seed):
@@ -201,6 +192,7 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
                     mean_k_err=float(k_err),
                     trials=cfg.trials,
                     failures=failures[method],
+                    n_samples=cfg.n_samples,
                 )
             )
     return records
@@ -214,7 +206,7 @@ def run_length_scaling(
     trials: int = 100,
     perms: int = 50,
     seed: int = 0,
-) -> list[ScalingRecord]:
+) -> list[BenchRecord]:
     """Fixed-density sweep over the measurement length, count unknown.
 
     Each grid point must make ``density * N / length`` a positive integer
@@ -244,69 +236,65 @@ def run_length_scaling(
             perms=perms,
             seed=seed + n_idx * trials,
         )
-        for rec in run_sweep(cfg):
-            records.append(
-                ScalingRecord(
-                    n_samples=n,
-                    method=rec.method,
-                    k_mode=rec.k_mode,
-                    mean_f1=rec.mean_f1,
-                    mean_recall=rec.mean_recall,
-                    mean_precision=rec.mean_precision,
-                    mean_k_err=rec.mean_k_err,
-                    trials=rec.trials,
-                )
-            )
+        records += run_sweep(cfg)
     return records
 
 
-_CSV_HEADER = "sigma2,method,k_mode,f1,recall,precision,k_err,trials"
+# Swept field -> (CSV column, SVG axis label).
+_X_AXES = {
+    "sigma2": ("sigma2", "noise variance"),
+    "n_samples": ("N", "measurement length"),
+}
+_CSV_TAIL = ",method,k_mode,f1,recall,precision,k_err,trials"
+_CSV_HEADER = "sigma2" + _CSV_TAIL
 _FAILURES_COLUMN = ",failures"
-_SCALING_HEADER = "N,method,k_mode,f1,recall,precision,k_err,trials"
 
 
-def _record_row(first, rec) -> str:
-    return ",".join(
-        [
-            first,
-            rec.method,
-            rec.k_mode,
-            format(rec.mean_f1, ".6g"),
-            format(rec.mean_recall, ".6g"),
-            format(rec.mean_precision, ".6g"),
-            format(rec.mean_k_err, ".6g"),
-            str(rec.trials),
-        ]
-    )
-
-
-def emit_csv(records, path) -> None:
-    """Sweep records as CSV; floats carry six significant digits.
-
-    When any trial failed, a ``failures`` column follows ``trials``, so a
-    failure can be told from a miss; a sweep without failures keeps the
-    eight-column layout.
-    """
+def _x_axis(records, x) -> tuple[str, str]:
+    """(CSV column, axis label) for ``x``; every record must carry ``x``."""
+    if x not in _X_AXES:
+        raise ValidationError(f"unknown x {x!r}; expected one of {list(_X_AXES)}")
     if not records:
         raise ValidationError("no records to write")
+    if any(getattr(r, x) is None for r in records):
+        raise ValidationError(f"records carry no {x}")
+    return _X_AXES[x]
+
+
+def emit_csv(records, path, x: str = "sigma2") -> None:
+    """Sweep records as CSV, first column the swept field ``x``.
+
+    ``x`` is ``"sigma2"`` (column ``sigma2``) or ``"n_samples"`` (column
+    ``N``). Floats carry six significant digits. When any trial failed, a
+    ``failures`` column follows ``trials``, so a failure can be told from a
+    miss; a sweep without failures keeps the eight-column layout.
+    """
+    column, _ = _x_axis(records, x)
     failed = any(r.failures for r in records)
-    lines = [_CSV_HEADER + _FAILURES_COLUMN if failed else _CSV_HEADER]
+    header = column + _CSV_TAIL
+    lines = [header + _FAILURES_COLUMN if failed else header]
     for r in records:
-        row = _record_row(format(r.sigma2, ".6g"), r)
+        # N prints as an integer: ".6g" would turn 1000000 into "1e+06".
+        first = format(r.sigma2, ".6g") if x == "sigma2" else str(r.n_samples)
+        row = ",".join(
+            [
+                first,
+                r.method,
+                r.k_mode,
+                format(r.mean_f1, ".6g"),
+                format(r.mean_recall, ".6g"),
+                format(r.mean_precision, ".6g"),
+                format(r.mean_k_err, ".6g"),
+                str(r.trials),
+            ]
+        )
         lines.append(f"{row},{r.failures}" if failed else row)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def emit_scaling_csv(records, path) -> None:
-    if not records:
-        raise ValidationError("no records to write")
-    lines = [_SCALING_HEADER]
-    lines += [_record_row(str(r.n_samples), r) for r in records]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_records(path) -> list[BenchRecord]:
-    """Inverse of :func:`emit_csv` (up to the six-digit float format)."""
+    """Inverse of :func:`emit_csv` with ``x="sigma2"`` (up to the six-digit
+    float format); ``n_samples`` stays ``None``."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] not in (_CSV_HEADER, _CSV_HEADER + _FAILURES_COLUMN):
         raise ValidationError(f"{path}: not a sweep CSV")
@@ -402,24 +390,13 @@ def _render_svg(series, xlabel, ylabel, path) -> None:
     Path(path).write_text("\n".join(parts) + "\n")
 
 
-def emit_svg(records, path) -> None:
-    """Mean F1 versus noise level, one polyline per method."""
-    if not records:
-        raise ValidationError("no records to plot")
+def emit_svg(records, path, x: str = "sigma2") -> None:
+    """Mean F1 versus the swept field ``x``, one polyline per method."""
+    _, label = _x_axis(records, x)
     series: dict[str, list] = {}
     for r in records:
-        series.setdefault(r.method, []).append((r.sigma2, r.mean_f1))
-    _render_svg(series, "noise variance", "mean F1", path)
-
-
-def emit_scaling_svg(records, path) -> None:
-    """Mean F1 versus measurement length, one polyline per method."""
-    if not records:
-        raise ValidationError("no records to plot")
-    series: dict[str, list] = {}
-    for r in records:
-        series.setdefault(r.method, []).append((float(r.n_samples), r.mean_f1))
-    _render_svg(series, "measurement length", "mean F1", path)
+        series.setdefault(r.method, []).append((float(getattr(r, x)), r.mean_f1))
+    _render_svg(series, label, "mean F1", path)
 
 
 def load_config(path) -> BenchConfig:

@@ -162,16 +162,19 @@ def _bench_config(args) -> bench_mod.BenchConfig:
     )
 
 
-def cmd_bench(args) -> int:
-    cfg = _bench_config(args)
-    records = bench_mod.run_sweep(cfg)
-    out_path = args.out or "bench.csv"
-    bench_mod.emit_csv(records, out_path)
+def _write_sweep(records, args, default_out, x) -> int:
+    out_path = args.out or default_out
+    bench_mod.emit_csv(records, out_path, x=x)
     print(f"wrote {out_path}")
     if args.svg:
-        bench_mod.emit_svg(records, args.svg)
+        bench_mod.emit_svg(records, args.svg, x=x)
         print(f"wrote {args.svg}")
     return 0
+
+
+def cmd_bench(args) -> int:
+    records = bench_mod.run_sweep(_bench_config(args))
+    return _write_sweep(records, args, "bench.csv", "sigma2")
 
 
 def cmd_scaling(args) -> int:
@@ -185,13 +188,7 @@ def cmd_scaling(args) -> int:
         perms=args.perms,
         seed=args.seed,
     )
-    out_path = args.out or "scaling.csv"
-    bench_mod.emit_scaling_csv(records, out_path)
-    print(f"wrote {out_path}")
-    if args.svg:
-        bench_mod.emit_scaling_svg(records, args.svg)
-        print(f"wrote {args.svg}")
-    return 0
+    return _write_sweep(records, args, "scaling.csv", "n_samples")
 
 
 def build_parser() -> argparse.ArgumentParser:

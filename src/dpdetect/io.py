@@ -27,9 +27,7 @@ __all__ = [
     "write_measurement",
     "read_template",
     "write_ground_truth",
-    "read_ground_truth",
     "result_to_dict",
-    "write_result",
 ]
 
 
@@ -95,16 +93,6 @@ def write_ground_truth(
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def read_ground_truth(path) -> tuple[PlacementSet, dict]:
-    """Placement set plus the raw record (N, sigma2, well_separated)."""
-    record = json.loads(Path(path).read_text())
-    try:
-        placements = PlacementSet(record["starts"], record["L"])
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing key {exc}") from exc
-    return placements, record
-
-
 def result_to_dict(result: DetectionResult, extra: dict | None = None) -> dict:
     payload = {
         "method": result.method,
@@ -116,7 +104,3 @@ def result_to_dict(result: DetectionResult, extra: dict | None = None) -> dict:
     if extra:
         payload.update(extra)
     return payload
-
-
-def write_result(result: DetectionResult, path, extra: dict | None = None) -> None:
-    Path(path).write_text(json.dumps(result_to_dict(result, extra), indent=2) + "\n")

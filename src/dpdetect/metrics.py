@@ -2,15 +2,13 @@
 
 An estimate counts as a true positive when its start index lies strictly
 within half a template length of a truth start, with one-to-one matching.
-Because truths are separated by at least ``L``, the radius-``L/2`` windows
-around them are disjoint, so greedy nearest-first matching is optimal.
+The matching is a maximum one: a two-pointer sweep over both sorted start
+lists, exact for any inputs, separated or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import PlacementSet, ValidationError
 
@@ -31,34 +29,28 @@ class ScoreReport:
 def match_detections(
     truth: PlacementSet, est: PlacementSet, length: int
 ) -> tuple[int, int, int]:
-    """One-to-one matching of estimates to truths within radius ``L/2``.
+    """Maximum one-to-one matching of estimates to truths within radius ``L/2``.
 
     A pair is matchable iff ``|est - truth| < L/2`` (strict, real-valued).
-    Matchable pairs are consumed in ascending-distance order. Returns
-    ``(tp, fp, fn)``.
+    Walking both sorted start lists, matchable heads are matched and
+    otherwise the smaller head is dropped: on a line that head can match
+    nothing later, and matching the two leftmost matchable starts never
+    costs a match. Returns ``(tp, fp, fn)``.
     """
-    t = truth.starts.astype(float)
-    e = est.starts.astype(float)
-    if t.size == 0 or e.size == 0:
-        return 0, int(e.size), int(t.size)
-    dist = np.abs(e[:, None] - t[None, :])
-    pairs = [
-        (dist[i, j], i, j)
-        for i in range(e.size)
-        for j in range(t.size)
-        if dist[i, j] < length / 2
-    ]
-    pairs.sort()
-    used_e: set[int] = set()
-    used_t: set[int] = set()
-    tp = 0
-    for _, i, j in pairs:
-        if i in used_e or j in used_t:
-            continue
-        used_e.add(i)
-        used_t.add(j)
-        tp += 1
-    return tp, int(e.size) - tp, int(t.size) - tp
+    t = truth.starts.tolist()
+    e = est.starts.tolist()
+    i = j = tp = 0
+    while i < len(e) and j < len(t):
+        d = e[i] - t[j]
+        if 2 * abs(d) < length:
+            tp += 1
+            i += 1
+            j += 1
+        elif d < 0:
+            i += 1
+        else:
+            j += 1
+    return tp, len(e) - tp, len(t) - tp
 
 
 def score(

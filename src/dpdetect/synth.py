@@ -96,7 +96,9 @@ def sample_placements(cfg: SynthConfig, rng: np.random.Generator) -> PlacementSe
             candidates = positions[eligible]
             if candidates.size == 0:
                 break
-            s = int(rng.choice(candidates))
+            # Same draw and stream as rng.choice(candidates), without its
+            # per-call overhead.
+            s = int(candidates[rng.integers(0, candidates.size)])
             starts.append(s)
             eligible[max(0, s - gap + 1) : s + gap] = False
         else:

@@ -63,8 +63,12 @@ def _direct(y, x) -> ScoreTrack:
 def _fft(y, x) -> ScoreTrack:
     n, length = y.length, x.length
     nfft = 1 << int(np.ceil(np.log2(n + length - 1)))
-    spec = np.fft.rfft(y.samples, nfft) * np.conj(np.fft.rfft(x.samples, nfft))
-    scores = np.fft.irfft(spec, nfft)[: n - length + 1]
+    # In place: one nfft/2 complex temporary fewer than fy * conj(fx).
+    fy = np.fft.rfft(y.samples, nfft)
+    fx = np.fft.rfft(x.samples, nfft)
+    np.conjugate(fx, out=fx)
+    fy *= fx
+    scores = np.fft.irfft(fy, nfft)[: n - length + 1]
     return ScoreTrack(scores=scores, n_samples=n, length=length)
 
 

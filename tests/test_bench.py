@@ -6,8 +6,6 @@ from dpdetect.bench import (
     BenchConfig,
     BenchRecord,
     emit_csv,
-    emit_scaling_csv,
-    emit_scaling_svg,
     emit_svg,
     load_config,
     load_records,
@@ -167,11 +165,43 @@ def test_scaling_small_run(tmp_path):
     assert [r.n_samples for r in records] == [100, 100, 200, 200]
     assert {r.method for r in records} == {"dp", "greedy"}
     csv_path = tmp_path / "scaling.csv"
-    emit_scaling_csv(records, csv_path)
+    emit_csv(records, csv_path, x="n_samples")
     head = csv_path.read_text().splitlines()[0]
     assert head == "N,method,k_mode,f1,recall,precision,k_err,trials"
-    emit_scaling_svg(records, tmp_path / "scaling.svg")
+    emit_svg(records, tmp_path / "scaling.svg", x="n_samples")
     assert (tmp_path / "scaling.svg").read_text().count("<polyline") == 2
+
+
+def test_scaling_counts_failed_trials(tmp_path, monkeypatch, caplog):
+    # A 1000-byte table limit makes every dp solve raise; greedy needs no
+    # table. The failures must reach the records and the CSV.
+    monkeypatch.setattr("dpdetect.dp.TABLE_BYTES_LIMIT", 1000)
+    with caplog.at_level("WARNING", logger="dpdetect.bench"):
+        records = run_length_scaling((100,), trials=3, perms=5, seed=1)
+    assert {r.method: r.failures for r in records} == {"dp": 3, "greedy": 0}
+    assert [r.n_samples for r in records] == [100, 100]
+    assert len(caplog.records) == 3
+    path = tmp_path / "scaling.csv"
+    emit_csv(records, path, x="n_samples")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "N,method,k_mode,f1,recall,precision,k_err,trials,failures"
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["3", "0"]
+
+
+def test_writers_reject_unknown_or_missing_x(tmp_path):
+    records = run_sweep(SMALL)
+    assert all(r.n_samples == SMALL.n_samples for r in records)
+    for emit in (emit_csv, emit_svg):
+        with pytest.raises(ValidationError):
+            emit(records, tmp_path / "out", x="length")
+    path = tmp_path / "sweep.csv"
+    emit_csv(records, path)
+    loaded = load_records(path)
+    assert all(r.n_samples is None for r in loaded)
+    for emit in (emit_csv, emit_svg):
+        with pytest.raises(ValidationError):
+            emit(loaded, tmp_path / "out", x="n_samples")
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_config(tmp_path):

@@ -87,8 +87,14 @@ def test_tp_symmetric_under_swap():
 
 
 def test_greedy_matching_is_optimal_for_separated_truths():
-    # Separated truths make the radius-L/2 windows disjoint, so nearest-first
-    # matching must agree with exhaustive assignment.
+    # The two-pointer sweep must agree with exhaustive assignment on
+    # separated truths and, as a maximum matching, on unseparated ones too.
+    # Nearest-first matching gets the fixed case wrong: it pairs 9 with 5 and
+    # strands both 0 and 14.
+    assert match_detections(
+        PlacementSet([0, 9], 12), PlacementSet([5, 14], 12), 12
+    ) == (2, 0, 0)
+    assert exhaustive_tp([0, 9], [5, 14], 12) == 2
     rng = np.random.default_rng(72)
     for _ in range(200):
         length = int(rng.integers(2, 10))
@@ -97,6 +103,17 @@ def test_greedy_matching_is_optimal_for_separated_truths():
         gaps = rng.integers(length, length + 12, size=k_t)
         truth_starts = np.cumsum(gaps)
         est_starts = np.sort(rng.choice(100, size=k_e, replace=False))
+        truth = PlacementSet(truth_starts, length)
+        est = PlacementSet(est_starts, length)
+        tp, _, _ = match_detections(truth, est, length)
+        assert tp == exhaustive_tp(truth_starts, est_starts, length)
+    # Unseparated truths: any starts in a short range.
+    for _ in range(200):
+        length = int(rng.integers(2, 12))
+        k_t = int(rng.integers(1, 6))
+        k_e = int(rng.integers(0, 6))
+        truth_starts = np.sort(rng.choice(40, size=k_t, replace=False))
+        est_starts = np.sort(rng.choice(40, size=k_e, replace=False))
         truth = PlacementSet(truth_starts, length)
         est = PlacementSet(est_starts, length)
         tp, _, _ = match_detections(truth, est, length)

@@ -98,6 +98,34 @@ def test_seeded_reproducibility():
     np.testing.assert_array_equal(t1.starts, t2.starts)
 
 
+# Starts and the generator's next draw, recorded from the rng.choice-based
+# sampler: a change to the draws or to the stream they consume shows here.
+@pytest.mark.parametrize(
+    "seed, separation, n, length, k, starts, next_draw",
+    [
+        (0, "arbitrary", 300, 30, 6, [25, 78, 135, 179, 230, 260], 0.016527635528529094),
+        (1, "well_separated", 300, 30, 3, [63, 128, 196], 0.14415961271963373),
+        (5, "arbitrary", 120, 12, 4, [1, 56, 73, 92], 0.515325561042142),
+        (
+            1, "arbitrary", 1000, 20, 30,
+            [8, 28, 69, 102, 152, 200, 224, 246, 267, 293, 315, 339, 366, 399,
+             426, 464, 521, 558, 619, 644, 670, 699, 721, 759, 779, 809, 830,
+             868, 905, 938],
+            0.4534978894806515,
+        ),
+    ],
+)
+def test_sample_placements_pinned_draws(
+    seed, separation, n, length, k, starts, next_draw
+):
+    cfg = SynthConfig(
+        n_samples=n, length=length, k=k, sigma2=0.0, separation=separation, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    assert sample_placements(cfg, rng).starts.tolist() == starts
+    assert rng.random() == next_draw
+
+
 def test_random_configs_always_valid():
     rng = np.random.default_rng(22)
     for _ in range(50):

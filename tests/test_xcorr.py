@@ -54,6 +54,21 @@ def test_fft_matches_direct_random_small():
         assert np.abs(a - b).max() <= REL_TOL * scale
 
 
+def test_fft_in_place_product_is_bit_identical():
+    # The FFT path multiplies in place; it must equal the out-of-place
+    # rfft(y) * conj(rfft(x)) product bit for bit.
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n = int(rng.integers(1, 3000))
+        length = int(rng.integers(1, n + 1))
+        y = rng.standard_normal(n)
+        x = rng.standard_normal(length)
+        nfft = 1 << int(np.ceil(np.log2(n + length - 1)))
+        spec = np.fft.rfft(y, nfft) * np.conj(np.fft.rfft(x, nfft))
+        expected = np.fft.irfft(spec, nfft)[: n - length + 1]
+        np.testing.assert_array_equal(correlation_scores_fft(y, x).scores, expected)
+
+
 def test_fft_matches_direct_large():
     rng = np.random.default_rng(11)
     for n, length in [(1_000, 30), (10_000, 64), (100_000, 200)]:
