@@ -111,11 +111,12 @@ class BenchRecord:
 
     ``failures`` counts the trials whose detector raised a
     :class:`DetectError`; those are scored as empty detections.
-    ``n_samples`` is the measurement length (``None`` when read back from a
-    sweep CSV, which has no N column).
+    ``sigma2`` and ``n_samples`` are the noise variance and measurement
+    length. A record read back from a CSV carries only the swept one; the
+    other is ``None``.
     """
 
-    sigma2: float
+    sigma2: float | None
     method: str
     k_mode: str
     mean_f1: float
@@ -246,7 +247,6 @@ _X_AXES = {
     "n_samples": ("N", "measurement length"),
 }
 _CSV_TAIL = ",method,k_mode,f1,recall,precision,k_err,trials"
-_CSV_HEADER = "sigma2" + _CSV_TAIL
 _FAILURES_COLUMN = ",failures"
 
 
@@ -293,19 +293,25 @@ def emit_csv(records, path, x: str = "sigma2") -> None:
 
 
 def load_records(path) -> list[BenchRecord]:
-    """Inverse of :func:`emit_csv` with ``x="sigma2"`` (up to the six-digit
-    float format); ``n_samples`` stays ``None``."""
+    """Inverse of :func:`emit_csv` for either ``x`` (up to the six-digit
+    float format). The field the file does not carry stays ``None``."""
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] not in (_CSV_HEADER, _CSV_HEADER + _FAILURES_COLUMN):
+    headers = {
+        column + _CSV_TAIL + failures: x
+        for x, (column, _) in _X_AXES.items()
+        for failures in ("", _FAILURES_COLUMN)
+    }
+    if not lines or lines[0] not in headers:
         raise ValidationError(f"{path}: not a sweep CSV")
+    x = headers[lines[0]]
     records = []
     for line in lines[1:]:
-        sigma2, method, k_mode, f1, recall, precision, k_err, trials, *failures = (
+        first, method, k_mode, f1, recall, precision, k_err, trials, *failures = (
             line.split(",")
         )
         records.append(
             BenchRecord(
-                sigma2=float(sigma2),
+                sigma2=float(first) if x == "sigma2" else None,
                 method=method,
                 k_mode=k_mode,
                 mean_f1=float(f1),
@@ -314,6 +320,7 @@ def load_records(path) -> list[BenchRecord]:
                 mean_k_err=float(k_err),
                 trials=int(trials),
                 failures=int(failures[0]) if failures else 0,
+                n_samples=int(first) if x == "n_samples" else None,
             )
         )
     return records

@@ -172,6 +172,23 @@ def test_scaling_small_run(tmp_path):
     assert (tmp_path / "scaling.svg").read_text().count("<polyline") == 2
 
 
+def test_scaling_csv_round_trip(tmp_path):
+    records = run_length_scaling((100, 200), trials=2, perms=5, seed=3)
+    path = tmp_path / "scaling.csv"
+    emit_csv(records, path, x="n_samples")
+    loaded = load_records(path)
+    assert [(r.n_samples, r.method, r.trials) for r in loaded] == [
+        (r.n_samples, r.method, r.trials) for r in records
+    ]
+    for a, b in zip(records, loaded):
+        assert b.sigma2 is None
+        assert a.mean_f1 == pytest.approx(b.mean_f1, rel=1e-5)
+    emit_csv(loaded, tmp_path / "again.csv", x="n_samples")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    with pytest.raises(ValidationError):
+        emit_csv(loaded, tmp_path / "out", x="sigma2")
+
+
 def test_scaling_counts_failed_trials(tmp_path, monkeypatch, caplog):
     # A 1000-byte table limit makes every dp solve raise; greedy needs no
     # table. The failures must reach the records and the CSV.

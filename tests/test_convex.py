@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpdetect import convex as convex_module
 from dpdetect import (
     ConvergenceError,
     ConvexConfig,
@@ -195,6 +196,12 @@ def test_search_out_of_steps_with_attainable_budget_stays_convergence_error():
                 ConvexConfig(delta_override=1.0, max_outer=1))
 
 
+def test_zero_template_is_infeasible_not_a_division_by_zero():
+    # G = 0 has no positive eigenvalue to set the step; G s = 0 everywhere.
+    with pytest.raises(InfeasibleError, match=r"\(180 at"):
+        denoise(3 * np.ones(20), np.zeros(4), ConvexConfig(delta_override=1.0))
+
+
 def test_convergence_on_the_last_allowed_iteration_counts_as_converged():
     # Every solve's first step is a zero update, so with max_iter=1 each
     # converges on its last allowed iteration and proves the budget infeasible.
@@ -207,3 +214,56 @@ def test_no_bisection_steps_rejected():
     y = np.random.default_rng(71).standard_normal(50)
     with pytest.raises(ValidationError):
         denoise(y, np.ones(5), ConvexConfig(delta_override=1e-3, max_outer=0))
+
+
+def test_lipschitz_step_is_largest_gram_eigenvalue():
+    rng = np.random.default_rng(87)
+    for n, x in ((64, rng.standard_normal(7)), (150, np.ones(15)), (300, np.ones(30))):
+        G = dense_circulant(x, n)
+        top = np.linalg.eigvalsh(G.T @ G)[-1]
+        _, step, _ = convex_module._step_operator(np.fft.rfft(x, n), n)
+        assert 1.0 / step == pytest.approx(top, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 97, 150])
+def test_dense_and_fft_gradient_paths_agree(monkeypatch, n):
+    from dpdetect import synthesize
+
+    rng = np.random.default_rng(88 + n)
+    x = rng.standard_normal(7) if n == 64 else rect_template(n // 10).samples
+    G = dense_circulant(x, n)
+    z = rng.standard_normal(n)
+    cfg = SynthConfig(n_samples=n, length=len(x), k=3, sigma2=0.1, seed=n)
+    y, _ = synthesize(cfg, x, np.random.default_rng(n))
+    tracks = {}
+    for limit, path in ((n, "dense"), (n - 1, "fft")):
+        monkeypatch.setattr(convex_module, "_DENSE_GRAM_MAX_N", limit)
+        apply, step, got = convex_module._step_operator(np.fft.rfft(x, n), n)
+        assert got == path
+        out = np.empty(n)
+        apply(z, out)
+        np.testing.assert_allclose(out, z - step * (G.T @ (G @ z)), rtol=0, atol=1e-12)
+        tracks[path] = denoise(y, x, ConvexConfig(sigma2=0.1))
+    dense, fft = tracks["dense"], tracks["fft"]
+    assert dense.iterations > 0
+    np.testing.assert_allclose(dense.s, fft.s, rtol=0, atol=1e-12)
+    assert dense.residual_sq == pytest.approx(fft.residual_sq, rel=1e-12)
+    assert dense.iterations == fft.iterations
+
+
+def test_denoise_logs_gradient_path_on_each_side_of_cutover(caplog):
+    x = rect_template(10)
+    for n, path in (
+        (convex_module._DENSE_GRAM_MAX_N, "dense"),
+        (convex_module._DENSE_GRAM_MAX_N + 1, "fft"),
+    ):
+        s_true = np.zeros(n)
+        s_true[[5, 60, 200]] = 1.0
+        y = forward_op(s_true, x, n)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="dpdetect.convex"):
+            track = denoise(y, x, ConvexConfig(delta_override=1.0))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"convex {path} gram: N={n}, outer={len(track.trace)}, "
+            f"iters={track.iterations}"
+        ]
