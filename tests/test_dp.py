@@ -18,7 +18,7 @@ from dpdetect import (
     validate_placements,
 )
 from dpdetect import dp as dp_mod
-from dpdetect.dp import dp_final_rows
+from dpdetect.dp import backtrack_rows, dp_detect_rows, dp_final_rows, fill_rows
 from dpdetect.xcorr import correlation_scores
 from conftest import brute_force_objective, random_instance
 
@@ -289,3 +289,76 @@ def test_objective_column_concave_on_finite_prefix():
         assert np.isfinite(col[: finite.size]).all()  # a prefix
         tol = 1e-9 * np.abs(finite).max()
         assert (np.diff(finite, 2) <= tol).all()
+
+
+def _random_block(rng, trial):
+    """A (T, N) block of measurements for one template, and the template."""
+    length = int(rng.integers(1, 9))
+    n = int(rng.integers(length, 120))  # M = n - length + 1 can be <= L
+    rows = int(rng.integers(1, 7))
+    if trial % 3 == 1:
+        # Small integers make tied scores and tied optima common.
+        return rng.integers(-2, 3, (rows, n)).astype(float), np.ones(length)
+    if trial % 3 == 2:
+        # A few spikes: the place branch rarely wins, so set bits are sparse
+        # and the backtrack scans long runs of zero bytes.
+        return (rng.random((rows, n)) < 0.04).astype(float), np.ones(length)
+    return rng.standard_normal((rows, n)), rng.standard_normal(length)
+
+
+@pytest.mark.parametrize("scan_bytes", [1, 3, dp_mod._SCAN_BYTES])
+def test_block_kernel_matches_per_row_solve_bit_for_bit(monkeypatch, scan_bytes):
+    # Narrow scan windows make the backtrack step back over several windows.
+    monkeypatch.setattr(dp_mod, "_SCAN_BYTES", scan_bytes)
+    rng = np.random.default_rng(39)
+    for trial in range(300):
+        ys, x = _random_block(rng, trial)
+        k_max = int(rng.integers(0, 7))  # k_max = 0 and infeasible counts
+        scores = np.stack([correlation_scores(y, x).scores for y in ys])
+        final, packed = fill_rows(scores, len(x), k_max)
+        n_pos = scores.shape[1]
+        assert final.shape == (len(ys), k_max + 1)
+        assert packed.shape == (k_max + 1, len(ys), (n_pos + 8) // 8)
+        tables = [dp_solve(y, x, k_max) for y in ys]
+        for t, table in enumerate(tables):
+            assert np.array_equal(final[t], table.best)
+            assert np.array_equal(packed[:, t], table.choice)
+        pointer = [pointer_dp(row, len(x), k_max)[1] for row in scores]
+        for k in range(1, k_max + 1):
+            if not np.isfinite(final[:, k]).all():
+                continue
+            starts = backtrack_rows(packed, n_pos, len(x), k)
+            for t, table in enumerate(tables):
+                expected = pointer_backtrack(pointer[t], len(x), k)
+                assert starts[t].tolist() == expected
+                assert dp_backtrack(table, k).starts.tolist() == expected
+
+
+def test_detect_rows_match_per_row_detect():
+    rng = np.random.default_rng(40)
+    for trial in range(200):
+        ys, x = _random_block(rng, trial)
+        k = int(rng.integers(1, 6))
+        scores = np.stack([correlation_scores(y, x).scores for y in ys])
+        try:
+            expected = [dp_detect(y, x, k).placements for y in ys]
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError, match=str(exc)):
+                dp_detect_rows(scores, len(x), k)
+            continue
+        got = dp_detect_rows(scores, len(x), k)
+        assert [p.starts.tolist() for p in got] == [p.starts.tolist() for p in expected]
+        assert all(p.separation == len(x) for p in got)
+
+
+def test_detect_rows_refuse_what_detect_refuses(monkeypatch):
+    scores = np.ones((3, 91))
+    with pytest.raises(ValidationError, match="at least one occurrence"):
+        dp_detect_rows(scores, 10, 0)
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", dp_mod.table_bytes(91, 9) - 1)
+    with pytest.raises(ValidationError, match="needs"):
+        dp_detect_rows(scores, 10, 9)
+    monkeypatch.undo()
+    assert len(dp_detect_rows(scores, 10, 10)[0]) == 10  # starts 0, 10, ..., 90
+    with pytest.raises(InfeasibleError, match="11 placements of length 10 do not fit in N=100"):
+        dp_detect_rows(scores, 10, 11)

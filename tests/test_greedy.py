@@ -12,7 +12,21 @@ from dpdetect import (
     synthesize,
     validate_placements,
 )
+from dpdetect.greedy import separated_peaks
 from conftest import random_instance
+
+
+def reference_peaks(values, length, k):
+    """One row, one pick at a time: the highest unblocked entry, lowest index on ties."""
+    masked = np.array(values, dtype=float)
+    picks = []
+    for _ in range(k):
+        s = int(np.argmax(masked))
+        if masked[s] == -np.inf:
+            return picks, True
+        picks.append(s)
+        masked[max(0, s - length + 1) : s + length] = -np.inf
+    return picks, False
 
 
 def test_example_two_rects():
@@ -98,3 +112,31 @@ def test_random_baseline_scores_well_below_detectors():
         f1[key] /= trials
     assert f1["random"] < f1["greedy"] - 0.3
     assert f1["random"] < f1["dp"] - 0.3
+
+
+def test_block_peaks_match_per_row_reference():
+    rng = np.random.default_rng(45)
+    saturated_rows = 0
+    for trial in range(400):
+        rows = int(rng.integers(1, 8))
+        n_pos = int(rng.integers(1, 50))
+        length = int(rng.integers(1, 12))
+        k = int(rng.integers(1, 9))
+        if trial % 2:
+            values = rng.integers(-2, 3, (rows, n_pos)).astype(float)  # ties
+        else:
+            values = rng.standard_normal((rows, n_pos))
+        if trial % 5 == 0:
+            values[rng.random((rows, n_pos)) < 0.3] = -np.inf  # blocked on entry
+        before = values.copy()
+        picks, saturated = separated_peaks(values, length, k)
+        assert np.array_equal(values, before)
+        assert picks.shape == (rows, k) and saturated.shape == (rows,)
+        for t in range(rows):
+            expected, full = reference_peaks(values[t], length, k)
+            assert picks[t, : len(expected)].tolist() == expected
+            assert (picks[t, len(expected) :] == -1).all()
+            assert saturated[t] == full
+            assert separated_peaks(values[t], length, k) == (expected, full)
+            saturated_rows += full
+    assert saturated_rows > 100

@@ -87,6 +87,17 @@ def test_types_reject_non_finite():
         Measurement([np.inf, 0.0])
 
 
+def test_placements_copy_their_input_once_and_freeze():
+    source = np.array([1, 5, 9])
+    p = PlacementSet(source, 2)
+    source[0] = 4
+    assert p.starts.tolist() == [1, 5, 9] and p.starts.dtype == np.int64
+    with pytest.raises(ValueError):
+        p.starts[0] = 0
+    assert PlacementSet([], 3).starts.size == 0
+    assert PlacementSet((7,), 3).starts.tolist() == [7]
+
+
 def test_types_are_immutable():
     t = SignalTemplate([1.0, 2.0])
     with pytest.raises(ValueError):

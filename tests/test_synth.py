@@ -149,3 +149,39 @@ def test_config_validation():
         SynthConfig(n_samples=50, length=10, k=1, sigma2=-1.0)
     with pytest.raises(ValidationError):
         SynthConfig(n_samples=50, length=10, k=1, sigma2=0.0, separation="diagonal")
+
+
+def reference_sample(cfg, rng):
+    """Each start uniform over the eligible positions, as a boolean mask."""
+    gap = cfg.min_gap
+    positions = np.arange(cfg.n_samples - cfg.length + 1)
+    while True:
+        eligible = np.ones(positions.size, dtype=bool)
+        starts = []
+        for _ in range(cfg.k):
+            candidates = positions[eligible]
+            if candidates.size == 0:
+                break
+            s = int(rng.choice(candidates))
+            starts.append(s)
+            eligible[max(0, s - gap + 1) : s + gap] = False
+        else:
+            return sorted(starts)
+
+
+@pytest.mark.parametrize(
+    "n, length, k, separation",
+    [
+        (300, 30, 6, "arbitrary"),
+        (300, 30, 3, "well_separated"),
+        (120, 12, 4, "well_separated"),  # dead ends restart about one draw in six
+        (61, 6, 5, "well_separated"),  # most draws restart
+        (100, 10, 5, "arbitrary"),
+    ],
+)
+def test_sample_placements_match_mask_reference(n, length, k, separation):
+    cfg = SynthConfig(n_samples=n, length=length, k=k, sigma2=0.0, separation=separation)
+    for seed in range(200):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_placements(cfg, a).starts.tolist() == reference_sample(cfg, b)
+        assert a.random() == b.random()
