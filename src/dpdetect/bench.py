@@ -34,7 +34,7 @@ import numpy as np
 from .convex import ConvexConfig, convex_detect
 from .dp import dp_detect_rows
 from .gap import GapConfig, estimate_k
-from .greedy import random_detect, separated_peaks
+from .greedy import SWEEP_BLOCK_BYTES, random_detect, separated_peaks
 from .metrics import score
 from .model import METHODS, DetectError, PlacementSet, ValidationError
 from .synth import SEPARATIONS, SynthConfig, rect_template, synthesize
@@ -135,16 +135,6 @@ class BenchRecord:
     trials: int
     failures: int = 0
     n_samples: int | None = None
-
-
-# Byte budget of one float64 block of score rows in run_sweep: a block of
-# trials holds max(1, budget // (8·(M+1))) rows, 15 at M=271, and a long
-# measurement falls to one row per block. The DP fill keeps two such blocks
-# and greedy one padded copy. On a 2-core Xeon with numpy 2.4, 64 KiB (30
-# rows at M=271) ran the paper_sweep benchmark 5-10% faster but raised its
-# peak RSS by about 0.4 MiB over one trial at a time, against about 0.3 MiB
-# at 32 KiB.
-SWEEP_BLOCK_BYTES = 32 << 10
 
 
 def _detect_one(method, y, template, cfg: BenchConfig, sigma2, rng, trial_seed):

@@ -21,7 +21,10 @@ enforces; then the block holds as many as fit, and a measurement whose
 single column does not fit is refused before anything is allocated. The
 nulls are computed before the data's table is filled, so the table and
 the block are never alive at the same time. The greedy curve is the
-running sum of pick scores, again from a single pass.
+running sum of pick scores, again from a single pass; the greedy nulls
+stack their score rows into blocks of
+:data:`~dpdetect.greedy.SWEEP_BLOCK_BYTES`, each picked by one
+:func:`~dpdetect.greedy.separated_peaks` call.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dp
+from . import dp, greedy
 from .dp import check_table, dp_backtrack, dp_final_rows, dp_objective_column, dp_solve
-from .greedy import greedy_path
+from .greedy import separated_peaks
 from .model import (
     DetectionResult,
     InfeasibleError,
@@ -106,13 +109,21 @@ def _objective_curve(y, x, k_max: int, detector: str):
         table = dp_solve(y, x, k_max)
         return dp_objective_column(table)[1:], table
     if detector == "greedy":
-        picks, pick_scores, _ = greedy_path(y, x, k_max)
-        curve = np.zeros(k_max)
-        running = np.cumsum(pick_scores)
-        if running.size:
-            curve[: running.size] = running
-            curve[running.size :] = running[-1]
-        return curve, picks
+        scores = correlation_scores(y, x).scores
+        picks, curve = _greedy_curves(scores[np.newaxis], x.length, k_max)
+        return curve[0], picks[0][picks[0] >= 0].tolist()
+
+
+def _greedy_curves(rows, length: int, k_max: int):
+    """Greedy picks and objective curve of each row of a ``(T, M)`` score block.
+
+    Entry ``j-1`` of a row's curve sums the scores of its first ``j``
+    picks; past the last pick of a saturated row it stays at their total.
+    """
+    picks, _ = separated_peaks(rows, length, k_max)
+    gains = np.take_along_axis(rows, np.maximum(picks, 0), axis=1)
+    gains[picks < 0] = 0.0
+    return picks, np.cumsum(gains, axis=1)
 
 
 def gap_curve(y, x, cfg: GapConfig, detector: str = "dp") -> GapCurve:
@@ -183,20 +194,27 @@ def _null_curves(y, x, cfg, detector):
     permuted = (permute_measurement(y, np.random.default_rng(c)) for c in children)
     null = np.empty((cfg.perms, cfg.k_max))
     n_pos = y.length - x.length + 1
-    block = _null_block_size(n_pos, x.length, cfg.k_max, cfg.perms) if detector == "dp" else 1
+    # Row c of the stack holds permutation c's scores. dp_final_rows sweeps
+    # one score vector per column, so for dp the stack is the transpose of
+    # a C-ordered (M, B) array; separated_peaks picks one per row.
+    if detector == "dp":
+        block = _null_block_size(n_pos, x.length, cfg.k_max, cfg.perms)
+        stack = np.empty((n_pos, block)).T
+    else:
+        block = min(max(1, greedy.SWEEP_BLOCK_BYTES // (8 * (n_pos + 1))), cfg.perms)
+        stack = np.empty((block, n_pos))
     log.debug(
         "%s null: B=%d, blocks=%d, M=%d", detector, block, -(-cfg.perms // block), n_pos
     )
-    if detector == "greedy":
-        for i, p in enumerate(permuted):
-            null[i], _ = _objective_curve(p, x, cfg.k_max, detector)
-        return null
-    scores = np.empty((n_pos, block))
     for lo in range(0, cfg.perms, block):
         width = min(block, cfg.perms - lo)
         for c in range(width):
-            scores[:, c] = correlation_scores(next(permuted), x).scores
-        null[lo : lo + width] = dp_final_rows(scores[:, :width], x.length, cfg.k_max)[:, 1:]
+            stack[c] = correlation_scores(next(permuted), x).scores
+        if detector == "dp":
+            curves = dp_final_rows(stack[:width].T, x.length, cfg.k_max)[:, 1:]
+        else:
+            _, curves = _greedy_curves(stack[:width], x.length, cfg.k_max)
+        null[lo : lo + width] = curves
     return null
 
 

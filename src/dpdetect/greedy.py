@@ -24,6 +24,15 @@ from .xcorr import correlation_scores
 
 __all__ = ["greedy_path", "greedy_detect", "random_detect"]
 
+# Byte budget of one float64 block of score rows, in run_sweep's blocks of
+# trials and in the gap statistic's greedy nulls: a block holds
+# max(1, budget // (8·(M+1))) rows, 15 at M=271, and a long measurement
+# falls to one row per block. The DP fill keeps two such blocks and greedy
+# one padded copy. On a 2-core Xeon with numpy 2.4, 64 KiB (30 rows at
+# M=271) ran the paper_sweep benchmark 5-10% faster but raised its peak RSS
+# by about 0.4 MiB over one trial at a time, against about 0.3 MiB at 32 KiB.
+SWEEP_BLOCK_BYTES = 32 << 10
+
 
 def separated_peaks(values, length: int, k: int):
     """Up to ``k`` largest entries per row whose indices lie at least ``length`` apart.
@@ -71,7 +80,7 @@ def greedy_path(y, x, k: int) -> tuple[list[int], list[float], bool]:
 
     Stops early (saturated) when no eligible position remains. The first
     ``j`` picks are exactly the greedy solution for ``j`` occurrences, so a
-    single call serves every smaller count (used by the gap statistic).
+    single call serves every smaller count (the gap statistic relies on this).
     Ties go to the lowest start index.
     """
     y = as_measurement(y)

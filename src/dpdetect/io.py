@@ -42,6 +42,28 @@ def read_template(path) -> SignalTemplate:
 
 
 def _read_numeric_lines(path) -> np.ndarray:
+    # One C-level parse of the whole file. A file it reads as one column of
+    # finite values, the per-line parse reads to the same bits. Anything
+    # else (a token loadtxt refuses, two numbers on a line, a non-finite
+    # value) goes to the per-line parse, which accepts what it accepts and
+    # names the first bad line. Whitespace-only input goes there directly,
+    # since loadtxt would warn that it holds no data; the check reads up to
+    # the first byte that is not whitespace.
+    with open(path, "rb") as f:
+        blank = all(chunk.isspace() for chunk in iter(lambda: f.read(1 << 16), b""))
+    if not blank:
+        try:
+            values = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape[1] == 1 and values.size and np.isfinite(values).all():
+                return values[:, 0]
+    return _parse_text(path)
+
+
+def _parse_text(path) -> np.ndarray:
+    """The checked parse: one finite number per non-blank line, or the bad line's error."""
     lines = Path(path).read_text().splitlines()
     tokens = [s for s in (line.strip() for line in lines) if s]
     if not tokens:

@@ -75,6 +75,12 @@ def test_detect_infeasible_k_raises():
         dp_detect(np.ones(10), np.ones(4), 3)
 
 
+def test_detect_overflowing_scores_raise_validation_error():
+    # Finite samples whose scores overflow: not an infeasible count.
+    with pytest.raises(ValidationError, match="overflow float64"):
+        dp_detect([1e308] * 50, rect_template(5), 2)
+
+
 def test_oracle_equivalence_random_instances():
     rng = np.random.default_rng(31)
     for _ in range(300):
@@ -332,6 +338,43 @@ def test_block_kernel_matches_per_row_solve_bit_for_bit(monkeypatch, scan_bytes)
                 expected = pointer_backtrack(pointer[t], len(x), k)
                 assert starts[t].tolist() == expected
                 assert dp_backtrack(table, k).starts.tolist() == expected
+
+
+def _maximum_fill(scores, length, k_max):
+    """Final rows and choice bits of fill_rows, closed by np.maximum.accumulate."""
+    n_rows, n_pos = scores.shape
+    final = np.zeros((n_rows, k_max + 1))
+    packed = np.zeros((k_max + 1, n_rows, (n_pos + 8) // 8), dtype=np.uint8)
+    prev = np.zeros((n_rows, n_pos + 1))
+    lag = min(length, n_pos)
+    for j in range(1, k_max + 1):
+        cur = np.empty((n_rows, n_pos + 1))
+        cur[:, 0] = -np.inf
+        cur[:, 1 : lag + 1] = prev[:, :1] + scores[:, :lag]
+        cur[:, lag + 1 :] = prev[:, 1 : n_pos - lag + 1] + scores[:, lag:]
+        cur[:, 1:] = np.maximum.accumulate(cur[:, 1:], axis=1)
+        placed = np.zeros((n_rows, n_pos + 1), dtype=bool)
+        placed[:, 1:] = cur[:, 1:] > cur[:, :-1]
+        packed[j] = np.packbits(placed, axis=1)
+        final[:, j] = cur[:, n_pos]
+        prev = cur
+    return final, packed
+
+
+def test_fill_equals_maximum_accumulate_fill_bit_for_bit():
+    # fill_rows closes each count with np.fmax.accumulate; on input without
+    # NaN it must equal np.maximum.accumulate, -inf scores included.
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        ys, x = _random_block(rng, trial)
+        scores = np.stack([correlation_scores(y, x).scores for y in ys])
+        if trial % 2:
+            scores[rng.random(scores.shape) < 0.3] = -np.inf
+        k_max = int(rng.integers(0, 7))
+        final, packed = fill_rows(scores, len(x), k_max)
+        ref_final, ref_packed = _maximum_fill(scores, len(x), k_max)
+        assert np.array_equal(final, ref_final)
+        assert np.array_equal(packed, ref_packed)
 
 
 def test_detect_rows_match_per_row_detect():

@@ -6,11 +6,13 @@ import pytest
 
 import dpdetect.dp as dp_mod
 import dpdetect.gap as gap_mod
+import dpdetect.greedy as greedy_mod
 from dpdetect import (
     DetectError,
     GapConfig,
     InfeasibleError,
     Measurement,
+    SignalTemplate,
     SynthConfig,
     ValidationError,
     dp_backtrack,
@@ -185,6 +187,58 @@ def test_null_sweep_matches_per_permutation_bit_for_bit(monkeypatch):
         _assert_nulls_match_reference(monkeypatch, y, x, gcfg)
 
 
+def _reference_greedy_curve(y, x, k_max):
+    """Running sum of greedy_path's pick scores, held after its last pick."""
+    picks, pick_scores, _ = greedy_path(y, x, k_max)
+    curve = np.zeros(k_max)
+    running = np.cumsum(pick_scores)
+    if running.size:
+        curve[: running.size] = running
+        curve[running.size :] = running[-1]
+    return curve, picks
+
+
+def _reference_greedy_null(y, x, gcfg):
+    """Null rows from one greedy_path per permutation, on gap's seed streams."""
+    children = np.random.SeedSequence(gcfg.seed).spawn(gcfg.perms)
+    return np.array([
+        _reference_greedy_curve(permute_measurement(y, np.random.default_rng(c)), x,
+                                gcfg.k_max)[0]
+        for c in children
+    ])
+
+
+def test_greedy_null_blocks_match_per_permutation_loop(monkeypatch, caplog):
+    rng = np.random.default_rng(66)
+    for trial in range(60):
+        length = int(rng.integers(1, 10))
+        n = int(rng.integers(length, 120))  # M <= L: saturated permutations
+        if trial % 2:
+            y = Measurement(rng.integers(-2, 3, n).astype(float))  # tied scores
+            x = SignalTemplate(np.ones(length))
+        else:
+            y = Measurement(rng.standard_normal(n))
+            x = SignalTemplate(rng.standard_normal(length))
+        gcfg = GapConfig(k_max=int(rng.integers(1, 12)), perms=int(rng.integers(1, 12)),
+                         seed=trial)
+        # Blocks of 1 to 5 rows, or all permutations at once.
+        rows = int(rng.integers(1, 7))
+        n_pos = n - length + 1
+        budget = 8 * (n_pos + 1) * rows if rows < 6 else greedy_mod.SWEEP_BLOCK_BYTES
+        monkeypatch.setattr(greedy_mod, "SWEEP_BLOCK_BYTES", budget)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
+            null = gap_mod._null_curves(y, x, gcfg, "greedy")
+        block = min(rows, gcfg.perms) if rows < 6 else gcfg.perms
+        assert f"greedy null: B={block}, blocks={-(-gcfg.perms // block)}," in caplog.text
+        assert np.array_equal(null, _reference_greedy_null(y, x, gcfg))
+        monkeypatch.undo()
+        curve, picks = gap_mod._objective_curve(y, x, gcfg.k_max, "greedy")
+        ref_curve, ref_picks = _reference_greedy_curve(y, x, gcfg.k_max)
+        assert np.array_equal(curve, ref_curve)
+        assert picks == ref_picks
+
+
 def test_null_block_that_does_not_divide_perms(monkeypatch, caplog):
     y = np.random.default_rng(62).standard_normal(2000)
     x = rect_template(10)
@@ -293,7 +347,7 @@ def test_null_path_logged(caplog):
     assert messages == [
         "dp null: B=30, blocks=1, M=1991",
         "dp null: B=9, blocks=1, M=91",
-        "greedy null: B=1, blocks=9, M=91",
+        "greedy null: B=9, blocks=1, M=91",
     ]
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from dpdetect import (
     SynthConfig,
+    ValidationError,
     dp_detect,
     greedy_detect,
     greedy_path,
@@ -52,6 +53,12 @@ def test_single_pick_equals_dp():
         assert greedy_detect(y, x, 1).objective == pytest.approx(
             dp_detect(y, x, 1).objective, rel=1e-12
         )
+
+
+def test_overflowing_scores_raise_validation_error():
+    # Finite samples whose scores overflow: no objective of inf.
+    with pytest.raises(ValidationError, match="overflow float64"):
+        greedy_detect([1e308] * 50, rect_template(5), 2)
 
 
 def test_tie_break_lowest_index():

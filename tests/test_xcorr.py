@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+import dpdetect.xcorr as xcorr_mod
 from dpdetect import (
     ValidationError,
     correlation_scores,
@@ -107,6 +108,43 @@ def test_dispatch_modes():
     np.testing.assert_allclose(fft, direct, atol=REL_TOL)
     with pytest.raises(ValidationError):
         correlation_scores(y, x, method="banana")
+
+
+def test_auto_logs_path_on_each_side_of_cutover(caplog):
+    # Every L below N + 2 pads N = 8192 to nfft = 2^14, so the FFT cost is
+    # 14 * 2^14 and auto switches at the first L whose M*L passes the
+    # calibrated multiple of it. The timings put that L between 500 and 1000.
+    n, fft_cost = 8192, 14 << 14
+    budget = xcorr_mod._DIRECT_PER_FFT_COST * fft_cost
+    last_direct = max(length for length in range(1, n // 2) if (n - length + 1) * length <= budget)
+    assert 500 <= last_direct < 1000
+    rng = np.random.default_rng(16)
+    y = rng.standard_normal(n)
+    for length, path, reference in (
+        (last_direct, "direct", correlation_scores_direct),
+        (last_direct + 1, "fft", correlation_scores_fft),
+    ):
+        x = rng.standard_normal(length)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="dpdetect.xcorr"):
+            track = correlation_scores(y, x)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"xcorr {path}: N={n}, L={length}, M*L={(n - length + 1) * length}, "
+            f"nfft*log2(nfft)={fft_cost}"
+        ]
+        np.testing.assert_array_equal(track.scores, reference(y, x).scores)
+
+
+@pytest.mark.parametrize("method", ["auto", "direct", "fft"])
+def test_overflowing_scores_rejected(method):
+    # Finite samples whose window sums pass the largest float64.
+    with pytest.raises(ValidationError, match=r"overflow float64 at 46 of 46 starts"):
+        with np.errstate(over="ignore", invalid="ignore"):  # the FFT's own overflow
+            correlation_scores([1e308] * 50, np.ones(5), method=method)
+    if method != "fft":  # the transforms of such samples overflow themselves
+        y = np.full(50, 1e308)
+        y[::2] = -1e308  # sums of +-1e308 pairs are finite: no error
+        np.testing.assert_array_equal(correlation_scores(y, np.ones(2), method=method).scores, 0.0)
 
 
 def test_template_longer_than_measurement_rejected():
