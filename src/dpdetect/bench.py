@@ -11,11 +11,11 @@ failures are logged, scored as empty detections and counted in the
 record's ``failures``.
 
 :func:`run_sweep` processes the trials of a noise level in blocks of
-bounded size (:data:`SWEEP_BLOCK_BYTES`). Synthesis, the random and convex
-baselines and the gap statistic's count estimates stay per trial, in trial
-order, so the seed rule and each trial's generator stream are unchanged;
-known-count ``dp`` and ``greedy`` run once per block over one score row per
-trial. The records equal those of a trial-at-a-time loop.
+bounded size (:func:`~dpdetect.greedy.block_rows`). Synthesis, the random
+and convex baselines and the gap statistic's count estimates stay per
+trial, in trial order, so the seed rule and each trial's generator stream
+are unchanged; known-count ``dp`` and ``greedy`` run once per block over
+one score row per trial. The records equal those of a trial-at-a-time loop.
 
 Both sweeps (:func:`run_sweep` over noise, :func:`run_length_scaling` over
 the measurement length) yield :class:`BenchRecord` rows, written by
@@ -34,7 +34,7 @@ import numpy as np
 from .convex import ConvexConfig, convex_detect
 from .dp import dp_detect_rows
 from .gap import GapConfig, estimate_k
-from .greedy import SWEEP_BLOCK_BYTES, random_detect, separated_peaks
+from .greedy import block_rows, random_detect, separated_peaks
 from .metrics import score
 from .model import METHODS, DetectError, PlacementSet, ValidationError
 from .synth import SEPARATIONS, SynthConfig, rect_template, synthesize
@@ -178,7 +178,7 @@ def _detect_block(methods, ys, template, k) -> dict:
 def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
     """Mean scores per (sigma2, method) over paired synthetic trials.
 
-    Trials run in blocks of rows sized by :data:`SWEEP_BLOCK_BYTES`.
+    Trials run in blocks of :func:`~dpdetect.greedy.block_rows` rows.
     Synthesis and the per-trial methods (``random``, ``convex``, and
     ``dp``/``greedy`` under ``k_mode="gap"``) run trial by trial in trial
     order; known-``k`` ``dp`` and ``greedy`` run once per block. Each
@@ -192,7 +192,7 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
     )
     per_trial = tuple(m for m in cfg.methods if m not in blocked)
     n_pos = max(cfg.n_samples - cfg.detector_length + 1, 1)
-    block = max(1, SWEEP_BLOCK_BYTES // (8 * (n_pos + 1)))
+    block = block_rows(n_pos)
     records = []
     for sig_idx, sigma2 in enumerate(cfg.sigma2_grid):
         sums = {m: np.zeros(4) for m in cfg.methods}

@@ -305,8 +305,17 @@ def backtrack_rows(choice: np.ndarray, n_pos: int, length: int, k: int) -> np.nd
     return starts
 
 
-def _infeasible(k: int, length: int, n_samples: int) -> InfeasibleError:
-    return InfeasibleError(
+def _check_optima(optima, k: int, length: int, n_samples: int) -> None:
+    """Raise unless every optimum for ``k`` placements is finite.
+
+    The fill reaches ``-inf`` only where ``k`` placements do not fit; on
+    finite scores, ``+inf`` means their sum overflowed.
+    """
+    if np.isfinite(optima).all():
+        return
+    if np.any(optima == np.inf):
+        raise ValidationError(f"sums of scores overflow float64 at k={k} placements")
+    raise InfeasibleError(
         f"{k} placements of length {length} do not fit in "
         f"N={n_samples} under the separation constraint"
     )
@@ -319,8 +328,7 @@ def dp_backtrack(table: DpTable, k: int) -> PlacementSet:
     """
     if not 0 <= k <= table.k_max:
         raise ValidationError(f"k={k} outside table range 0..{table.k_max}")
-    if not np.isfinite(table.best[k]):
-        raise _infeasible(k, table.length, table.n_samples)
+    _check_optima(table.best[k], k, table.length, table.n_samples)
     n_pos = table.n_samples - table.length + 1
     starts = backtrack_rows(table.choice[:, np.newaxis], n_pos, table.length, k)
     return PlacementSet(starts[0], table.length)
@@ -332,9 +340,9 @@ def dp_detect_rows(scores, length: int, k: int) -> list[PlacementSet]:
     Row ``t`` gives the same placements as ``dp_detect`` on the measurement
     whose :func:`correlation_scores` it is. Raises what ``dp_detect`` would
     for one row: :class:`ValidationError` for ``k < 1`` or a table above
-    :data:`TABLE_BYTES_LIMIT`, :class:`InfeasibleError` when some row's
-    optimum is not finite (for finite scores, when ``k`` placements do not
-    fit in ``M`` candidates, which all rows share).
+    :data:`TABLE_BYTES_LIMIT` or when some row's optimum overflows float64,
+    :class:`InfeasibleError` when ``k`` placements do not fit in ``M``
+    candidates, which all rows share.
     """
     if k < 1:
         raise ValidationError("need at least one occurrence to detect")
@@ -342,15 +350,15 @@ def dp_detect_rows(scores, length: int, k: int) -> list[PlacementSet]:
     n_samples = n_pos + length - 1
     check_table(n_samples, length, k)
     final, packed = fill_rows(scores, length, k)
-    if not np.isfinite(final[:, k]).all():
-        raise _infeasible(k, length, n_samples)
+    _check_optima(final[:, k], k, length, n_samples)
     return [PlacementSet(row, length) for row in backtrack_rows(packed, n_pos, length, k)]
 
 
 def dp_detect(y, x, k: int) -> DetectionResult:
     """Exact maximizer of the separation-constrained objective for ``k``.
 
-    Raises :class:`InfeasibleError` when ``k`` placements cannot fit.
+    Raises :class:`InfeasibleError` when ``k`` placements cannot fit, and
+    :class:`ValidationError` when the optimum overflows float64.
     """
     if k < 1:
         raise ValidationError("need at least one occurrence to detect")

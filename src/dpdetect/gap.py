@@ -23,7 +23,7 @@ nulls are computed before the data's table is filled, so the table and
 the block are never alive at the same time. The greedy curve is the
 running sum of pick scores, again from a single pass; the greedy nulls
 stack their score rows into blocks of
-:data:`~dpdetect.greedy.SWEEP_BLOCK_BYTES`, each picked by one
+:func:`~dpdetect.greedy.block_rows` rows, each picked by one
 :func:`~dpdetect.greedy.separated_peaks` call.
 """
 
@@ -150,6 +150,9 @@ def _gap_curve_full(y, x, cfg, detector):
         null_mean[ok] = null[:, ok].mean(axis=0)
         null_std[ok] = null[:, ok].std(axis=0)
 
+    # Only infeasible counts are -inf; +inf from finite scores is overflow.
+    if any(np.isposinf(a).any() for a in (actual, null, null_mean)):
+        raise ValidationError("sums of scores overflow float64 in the gap curve")
     feasible = np.isfinite(actual) & np.isfinite(null_mean)
     if not feasible.any():
         raise InfeasibleError("no feasible occurrence count in 1..k_max")
@@ -201,7 +204,7 @@ def _null_curves(y, x, cfg, detector):
         block = _null_block_size(n_pos, x.length, cfg.k_max, cfg.perms)
         stack = np.empty((n_pos, block)).T
     else:
-        block = min(max(1, greedy.SWEEP_BLOCK_BYTES // (8 * (n_pos + 1))), cfg.perms)
+        block = min(greedy.block_rows(n_pos), cfg.perms)
         stack = np.empty((block, n_pos))
     log.debug(
         "%s null: B=%d, blocks=%d, M=%d", detector, block, -(-cfg.perms // block), n_pos

@@ -25,13 +25,20 @@ from .xcorr import correlation_scores
 __all__ = ["greedy_path", "greedy_detect", "random_detect"]
 
 # Byte budget of one float64 block of score rows, in run_sweep's blocks of
-# trials and in the gap statistic's greedy nulls: a block holds
-# max(1, budget // (8·(M+1))) rows, 15 at M=271, and a long measurement
-# falls to one row per block. The DP fill keeps two such blocks and greedy
-# one padded copy. On a 2-core Xeon with numpy 2.4, 64 KiB (30 rows at
-# M=271) ran the paper_sweep benchmark 5-10% faster but raised its peak RSS
-# by about 0.4 MiB over one trial at a time, against about 0.3 MiB at 32 KiB.
-SWEEP_BLOCK_BYTES = 32 << 10
+# trials and in the gap statistic's greedy nulls (see block_rows). The DP
+# fill keeps two such blocks and greedy one padded copy. On a 2-core Xeon
+# with numpy 2.4, 64 KiB (30 rows at M=271) ran the paper_sweep benchmark
+# 5-10% faster but raised its peak RSS by about 0.4 MiB over one trial at a
+# time, against about 0.3 MiB at 32 KiB.
+SCORE_BLOCK_BYTES = 32 << 10
+
+
+def block_rows(n_pos: int) -> int:
+    """Score rows of ``n_pos`` candidates per block under :data:`SCORE_BLOCK_BYTES`.
+
+    15 at M=271; a long measurement falls to one row per block.
+    """
+    return max(1, SCORE_BLOCK_BYTES // (8 * (n_pos + 1)))
 
 
 def separated_peaks(values, length: int, k: int):
@@ -97,13 +104,17 @@ def greedy_detect(y, x, k: int) -> DetectionResult:
 
     Saturation (fewer than ``k`` eligible positions) is reported via the
     result flag, not raised, so benchmark sweeps can score the partial
-    detection as misses.
+    detection as misses. A sum of pick scores that overflows float64
+    raises :class:`ValidationError`.
     """
     x = as_template(x)
     picks, pick_scores, saturated = greedy_path(y, x, k)
+    objective = float(sum(pick_scores))
+    if not np.isfinite(objective):
+        raise ValidationError(f"sums of scores overflow float64 at k={len(picks)} picks")
     return DetectionResult(
         placements=PlacementSet(sorted(picks), x.length),
-        objective=float(sum(pick_scores)),
+        objective=objective,
         method="greedy",
         k_hat=len(picks),
         saturated=saturated,

@@ -9,6 +9,7 @@ k_hat (plus optional diagnostics).
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,40 +45,25 @@ def read_template(path) -> SignalTemplate:
 def _read_numeric_lines(path) -> np.ndarray:
     # One C-level parse of the whole file. A file it reads as one column of
     # finite values, the per-line parse reads to the same bits. Anything
-    # else (a token loadtxt refuses, two numbers on a line, a non-finite
-    # value) goes to the per-line parse, which accepts what it accepts and
-    # names the first bad line. Whitespace-only input goes there directly,
-    # since loadtxt would warn that it holds no data; the check reads up to
-    # the first byte that is not whitespace.
-    with open(path, "rb") as f:
-        blank = all(chunk.isspace() for chunk in iter(lambda: f.read(1 << 16), b""))
-    if not blank:
-        try:
-            values = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if values.shape[1] == 1 and values.size and np.isfinite(values).all():
-                return values[:, 0]
-    return _parse_text(path)
-
-
-def _parse_text(path) -> np.ndarray:
-    """The checked parse: one finite number per non-blank line, or the bad line's error."""
-    lines = Path(path).read_text().splitlines()
-    tokens = [s for s in (line.strip() for line in lines) if s]
-    if not tokens:
-        raise ValidationError(f"{path}: no samples")
-    # One vectorized parse; numpy parses str elements as float() does. On a
-    # bad or non-finite token, the per-line loop finds and names its line.
+    # else (a token loadtxt refuses, two numbers on a line, no data, a
+    # non-finite value) goes to the per-line parse, which accepts what it
+    # accepts and names the first bad line; so loadtxt's warning that the
+    # input holds no data is not shown.
     try:
-        values = np.array(tokens, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", message="loadtxt: input contained no data", category=UserWarning
+            )
+            values = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         pass
     else:
-        if np.isfinite(values).all():
-            return values
-    return np.array(_parse_lines_checked(path, lines))
+        if values.shape[1] == 1 and values.size and np.isfinite(values).all():
+            return values[:, 0]
+    values = _parse_lines_checked(path, Path(path).read_text().splitlines())
+    if not values:
+        raise ValidationError(f"{path}: no samples")
+    return np.array(values)
 
 
 def _parse_lines_checked(path, lines) -> list[float]:

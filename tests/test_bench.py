@@ -16,7 +16,7 @@ from dpdetect import (
     score,
     synthesize,
 )
-from dpdetect import bench as bench_mod
+from dpdetect import greedy as greedy_mod
 from dpdetect.bench import (
     BenchConfig,
     BenchRecord,
@@ -396,7 +396,7 @@ def test_sweep_cell_memory_bounded_by_block(monkeypatch):
     )
     run_sweep(BenchConfig(**{**cfg.__dict__, "trials": 2}))  # first-call allocations
     assert _sweep_peak_bytes(cfg) < 1 << 20
-    monkeypatch.setattr(bench_mod, "SWEEP_BLOCK_BYTES", 1 << 30)
+    monkeypatch.setattr(greedy_mod, "SCORE_BLOCK_BYTES", 1 << 30)
     assert _sweep_peak_bytes(cfg) > 1 << 20
 
 

@@ -75,10 +75,15 @@ def test_detect_infeasible_k_raises():
         dp_detect(np.ones(10), np.ones(4), 3)
 
 
-def test_detect_overflowing_scores_raise_validation_error():
-    # Finite samples whose scores overflow: not an infeasible count.
-    with pytest.raises(ValidationError, match="overflow float64"):
-        dp_detect([1e308] * 50, rect_template(5), 2)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("length", [5, 1])
+def test_detect_overflowing_scores_raise_validation_error(length):
+    # Finite samples whose scores (L=5) or only their sums (L=1) overflow:
+    # not an infeasible count.
+    with pytest.raises(ValidationError, match="scores overflow float64"):
+        dp_detect([1e308] * 50, rect_template(length), 2)
+    with pytest.raises(ValidationError, match="scores overflow float64"):
+        dp_detect_rows(np.full((3, 51 - length), 1e308), length, 2)
 
 
 def test_oracle_equivalence_random_instances():

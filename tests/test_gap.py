@@ -107,6 +107,17 @@ def test_all_infeasible_raises():
         gap_curve(np.ones(2), np.ones(5), GapConfig(k_max=3, perms=2, seed=0), "dp")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("detector", ["dp", "greedy"])
+@pytest.mark.parametrize("k_max", [1, 3])
+def test_overflowing_sums_raise_validation_error(detector, k_max):
+    # Finite scores of 1e308: at k_max=3 the objectives overflow, at k_max=1
+    # only the null mean does. Neither is an infeasible count.
+    cfg = GapConfig(k_max=k_max, perms=5, seed=0)
+    with pytest.raises(ValidationError, match="scores overflow float64"):
+        estimate_k([1e308] * 50, rect_template(1), cfg, detector)
+
+
 def test_greedy_estimate_reuses_pick_prefix():
     cfg = SynthConfig(n_samples=200, length=20, k=4, sigma2=1.0, seed=58)
     y, _ = synthesize(cfg, rect_template(20))
@@ -224,8 +235,8 @@ def test_greedy_null_blocks_match_per_permutation_loop(monkeypatch, caplog):
         # Blocks of 1 to 5 rows, or all permutations at once.
         rows = int(rng.integers(1, 7))
         n_pos = n - length + 1
-        budget = 8 * (n_pos + 1) * rows if rows < 6 else greedy_mod.SWEEP_BLOCK_BYTES
-        monkeypatch.setattr(greedy_mod, "SWEEP_BLOCK_BYTES", budget)
+        budget = 8 * (n_pos + 1) * rows if rows < 6 else greedy_mod.SCORE_BLOCK_BYTES
+        monkeypatch.setattr(greedy_mod, "SCORE_BLOCK_BYTES", budget)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
             null = gap_mod._null_curves(y, x, gcfg, "greedy")

@@ -55,10 +55,12 @@ def test_single_pick_equals_dp():
         )
 
 
-def test_overflowing_scores_raise_validation_error():
-    # Finite samples whose scores overflow: no objective of inf.
-    with pytest.raises(ValidationError, match="overflow float64"):
-        greedy_detect([1e308] * 50, rect_template(5), 2)
+@pytest.mark.parametrize("length", [5, 1])
+def test_overflowing_scores_raise_validation_error(length):
+    # Finite samples whose scores (L=5) or only their sums (L=1) overflow:
+    # no objective of inf.
+    with pytest.raises(ValidationError, match="scores overflow float64"):
+        greedy_detect([1e308] * 50, rect_template(length), 2)
 
 
 def test_tie_break_lowest_index():

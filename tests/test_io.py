@@ -54,6 +54,8 @@ def test_read_skips_blank_lines_and_surrounding_whitespace(tmp_path):
         b"1\n0x10\n",
         b"",
         b"  \n\t\n\n",
+        "\u00a0\n".encode(),  # non-ASCII whitespace only
+        "\u00a01\u00a0\n2\n".encode(),
     ],
 )
 def test_read_matches_per_line_reference(tmp_path, content):
