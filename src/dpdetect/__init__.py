@@ -36,7 +36,6 @@ from .model import (
 from .synth import SynthConfig, rect_template, sample_placements, synthesize
 from .whiten import PsdEstimate, estimate_psd, whiten
 from .xcorr import (
-    ScoreTrack,
     correlation_scores,
     correlation_scores_direct,
     correlation_scores_fft,
@@ -88,7 +87,6 @@ __all__ = [
     "PsdEstimate",
     "estimate_psd",
     "whiten",
-    "ScoreTrack",
     "correlation_scores",
     "correlation_scores_direct",
     "correlation_scores_fft",

@@ -158,7 +158,7 @@ def _detect_block(methods, ys, template, k) -> dict:
     """
     found = {}
     try:
-        scores = np.stack([correlation_scores(y, template).scores for y in ys])
+        scores = np.stack([correlation_scores(y, template) for y in ys])
     except DetectError as exc:
         return {method: [exc] * len(ys) for method in methods}
     if "dp" in methods:

@@ -40,8 +40,8 @@ def _template_from_args(args):
     raise ValidationError("provide a template via --rect L or --template FILE")
 
 
-def _write_json(payload, out):
-    text = json.dumps(payload, indent=2) + "\n"
+def _write_text(text, out):
+    """Write to the ``--out`` path, or to stdout without one."""
     if out:
         Path(out).write_text(text)
     else:
@@ -91,7 +91,7 @@ def cmd_detect(args) -> int:
         cfg = ConvexConfig(sigma2=args.sigma2, delta_override=args.delta)
         result, track = convex_detect_full(y, template, _require_k(args), cfg)
         extra = {"residual_sq": track.residual_sq, "lambda": track.lambda_star}
-    _write_json(io_mod.result_to_dict(result, extra), args.out)
+    _write_text(json.dumps(io_mod.result_to_dict(result, extra), indent=2) + "\n", args.out)
     return 0
 
 
@@ -111,11 +111,7 @@ def cmd_gapcurve(args) -> int:
         lines.append(
             f"{k},{curve.actual[i]:.6g},{curve.null_mean[i]:.6g},{curve.gap[i]:.6g}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -183,7 +183,7 @@ def dp_solve(y, x, k_max: int) -> DpTable:
     y = as_measurement(y)
     x = as_template(x)
     check_table(y.length, x.length, k_max)
-    scores = correlation_scores(y, x).scores
+    scores = correlation_scores(y, x)
     final, packed = fill_rows(scores[np.newaxis], x.length, k_max)
     return DpTable(best=final[0], choice=packed[:, 0], n_samples=y.length, length=x.length)
 

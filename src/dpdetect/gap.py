@@ -42,6 +42,7 @@ from .model import (
     InfeasibleError,
     Measurement,
     PlacementSet,
+    SignalTemplate,
     ValidationError,
     as_measurement,
     as_template,
@@ -50,7 +51,6 @@ from .xcorr import correlation_scores
 
 __all__ = ["GapConfig", "GapCurve", "permute_measurement", "gap_curve", "estimate_k"]
 
-GAP_SIGNS = ("actual_minus_null", "null_minus_actual")
 DETECTORS = ("dp", "greedy")
 
 log = logging.getLogger(__name__)
@@ -58,30 +58,23 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GapConfig:
-    """Candidate range, permutation count, and sign convention.
-
-    ``gap_sign="actual_minus_null"`` (default) peaks at the strongest
-    evidence of signal; the reversed sign is available for comparison with
-    conventions that subtract the other way around.
-    """
+    """Candidate range ``1..k_max``, permutation count and null seed."""
 
     k_max: int
     perms: int = 50
     seed: int = 0
-    gap_sign: str = "actual_minus_null"
 
     def __post_init__(self):
         if self.k_max < 1:
             raise ValidationError("k_max must be >= 1")
         if self.perms < 1:
             raise ValidationError("need at least one permutation")
-        if self.gap_sign not in GAP_SIGNS:
-            raise ValidationError(f"unknown gap_sign {self.gap_sign!r}")
 
 
 @dataclass(frozen=True)
 class GapCurve:
-    """Objective, null mean/spread, and gap for each K in ``1..k_max``.
+    """Objective, null mean/spread, and gap ``actual - null_mean`` for each
+    K in ``1..k_max``.
 
     Entries are -inf (and gap NaN) where K placements cannot fit; such K
     are excluded from the argmax.
@@ -103,17 +96,6 @@ def permute_measurement(y, rng: np.random.Generator) -> Measurement:
     return Measurement(rng.permutation(y.samples))
 
 
-def _objective_curve(y, x, k_max: int, detector: str):
-    """Objective value per K in 1..k_max, plus the payload for backtracking."""
-    if detector == "dp":
-        table = dp_solve(y, x, k_max)
-        return dp_objective_column(table)[1:], table
-    if detector == "greedy":
-        scores = correlation_scores(y, x).scores
-        picks, curve = _greedy_curves(scores[np.newaxis], x.length, k_max)
-        return curve[0], picks[0][picks[0] >= 0].tolist()
-
-
 def _greedy_curves(rows, length: int, k_max: int):
     """Greedy picks and objective curve of each row of a ``(T, M)`` score block.
 
@@ -127,20 +109,24 @@ def _greedy_curves(rows, length: int, k_max: int):
 
 
 def gap_curve(y, x, cfg: GapConfig, detector: str = "dp") -> GapCurve:
-    curve, _ = _gap_curve_full(y, x, cfg, detector)
-    return curve
+    return _build_curve(as_measurement(y), as_template(x), cfg, detector)[0]
 
 
-def _gap_curve_full(y, x, cfg, detector):
-    y = as_measurement(y)
-    x = as_template(x)
+def _build_curve(y: Measurement, x: SignalTemplate, cfg: GapConfig, detector: str):
+    """Gap curve plus the data's ``DpTable`` (dp) or its pick list (greedy)."""
     if detector not in DETECTORS:
         raise ValidationError(f"unknown detector {detector!r}")
     if detector == "dp":
         # The table's refusals come before any null work.
         check_table(y.length, x.length, cfg.k_max)
     null = _null_curves(y, x, cfg, detector)
-    actual, payload = _objective_curve(y, x, cfg.k_max, detector)
+    if detector == "dp":
+        payload = dp_solve(y, x, cfg.k_max)
+        actual = dp_objective_column(payload)[1:]
+    else:
+        scores = correlation_scores(y, x)
+        picks, curves = _greedy_curves(scores[np.newaxis], x.length, cfg.k_max)
+        actual, payload = curves[0], picks[0][picks[0] >= 0].tolist()
 
     # Infeasible counts carry the -inf sentinel; keep them out of the moments.
     ok = np.isfinite(null).all(axis=0)
@@ -157,10 +143,7 @@ def _gap_curve_full(y, x, cfg, detector):
     if not feasible.any():
         raise InfeasibleError("no feasible occurrence count in 1..k_max")
     gap = np.full(cfg.k_max, np.nan)
-    if cfg.gap_sign == "actual_minus_null":
-        gap[feasible] = actual[feasible] - null_mean[feasible]
-    else:
-        gap[feasible] = null_mean[feasible] - actual[feasible]
+    gap[feasible] = actual[feasible] - null_mean[feasible]
     curve = GapCurve(
         k=np.arange(1, cfg.k_max + 1),
         actual=actual,
@@ -212,7 +195,7 @@ def _null_curves(y, x, cfg, detector):
     for lo in range(0, cfg.perms, block):
         width = min(block, cfg.perms - lo)
         for c in range(width):
-            stack[c] = correlation_scores(next(permuted), x).scores
+            stack[c] = correlation_scores(next(permuted), x)
         if detector == "dp":
             curves = dp_final_rows(stack[:width].T, x.length, cfg.k_max)[:, 1:]
         else:
@@ -230,7 +213,7 @@ def estimate_k(y, x, cfg: GapConfig, detector: str = "dp"):
     """
     y = as_measurement(y)
     x = as_template(x)
-    curve, payload = _gap_curve_full(y, x, cfg, detector)
+    curve, payload = _build_curve(y, x, cfg, detector)
     ranked = np.where(np.isnan(curve.gap), -np.inf, curve.gap)
     k_hat = int(np.argmax(ranked)) + 1
 

@@ -94,7 +94,7 @@ def greedy_path(y, x, k: int) -> tuple[list[int], list[float], bool]:
     x = as_template(x)
     if k < 1:
         raise ValidationError("need at least one pick")
-    scores = correlation_scores(y, x).scores
+    scores = correlation_scores(y, x)
     picks, saturated = separated_peaks(scores, x.length, k)
     return picks, [float(scores[s]) for s in picks], saturated
 

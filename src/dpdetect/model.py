@@ -12,9 +12,6 @@ Conventions used throughout the package:
   of the inner product between the template and the measurement window at
   each start.  Maximizing it under the separation constraint is equivalent
   to maximum likelihood under i.i.d. Gaussian noise.
-
-The center of an occurrence is ``start + L // 2`` when a centered view is
-needed.
 """
 
 from __future__ import annotations
@@ -77,6 +74,15 @@ def _frozen_array(values, dtype=float):
     return arr
 
 
+def _finite_samples(samples, noun: str) -> np.ndarray:
+    arr = _frozen_array(samples)
+    if arr.size < 1:
+        raise ValidationError(f"{noun} must have at least one sample")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{noun} contains non-finite values")
+    return arr
+
+
 @dataclass(frozen=True)
 class SignalTemplate:
     """Known signal shape of length ``L``. Immutable after construction."""
@@ -84,12 +90,7 @@ class SignalTemplate:
     samples: np.ndarray
 
     def __init__(self, samples):
-        arr = _frozen_array(samples)
-        if arr.size < 1:
-            raise ValidationError("template must have at least one sample")
-        if not np.isfinite(arr).all():
-            raise ValidationError("template contains non-finite values")
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _finite_samples(samples, "template"))
 
     @property
     def length(self) -> int:
@@ -103,12 +104,7 @@ class Measurement:
     samples: np.ndarray
 
     def __init__(self, samples):
-        arr = _frozen_array(samples)
-        if arr.size < 1:
-            raise ValidationError("measurement must have at least one sample")
-        if not np.isfinite(arr).all():
-            raise ValidationError("measurement contains non-finite values")
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _finite_samples(samples, "measurement"))
 
     @property
     def length(self) -> int:
@@ -190,11 +186,8 @@ def validate_placements(
         return True
     if starts[0] < 0 or starts[-1] > n_samples - length:
         return False
-    gaps = np.diff(starts)
-    if gaps.size and np.any(gaps <= 0):
-        return False
     min_gap = 2 * length if well_separated else length
-    return bool(starts.size < 2 or np.all(gaps >= min_gap))
+    return bool(np.all(np.diff(starts) >= min_gap))
 
 
 def objective_value(y, x, placements: PlacementSet) -> float:

@@ -2,21 +2,20 @@
 
 The score at start ``s`` is ``sum_i y[s+i] * x[i]`` for ``i in [0, L)``,
 which is exactly the contribution of a placement at ``s`` to the detection
-objective. Two implementations are provided: direct summation and an
-FFT-based path for long templates.
+objective. :func:`correlation_scores` computes them by direct summation
+or through the FFT and returns a plain float64 array of ``N - L + 1``
+scores; the two named entry points force one path.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ValidationError, as_measurement, as_template
 
 __all__ = [
-    "ScoreTrack",
     "correlation_scores_direct",
     "correlation_scores_fft",
     "correlation_scores",
@@ -36,80 +35,35 @@ log = logging.getLogger(__name__)
 _DIRECT_PER_FFT_COST = 24
 
 
-@dataclass(frozen=True)
-class ScoreTrack:
-    """Correlation score per candidate start ``s in [0, N-L]``."""
-
-    scores: np.ndarray
-    n_samples: int
-    length: int
-
-    def __post_init__(self):
-        if self.scores.size != self.n_samples - self.length + 1:
-            raise ValidationError("score track has wrong length")
-
-    @property
-    def centers(self) -> np.ndarray:
-        """Center-index view of the candidate positions (``start + L//2``)."""
-        return np.arange(self.scores.size) + self.length // 2
-
-
-def _coerce(y, x):
-    """Coerce both inputs; the template must fit in the measurement."""
-    y = as_measurement(y)
-    x = as_template(x)
-    if y.length < x.length:
-        raise ValidationError(
-            f"measurement shorter than template ({y.length} < {x.length})"
-        )
-    return y, x
-
-
-def _direct(y, x) -> ScoreTrack:
-    scores = np.correlate(y.samples, x.samples, mode="valid")
-    return ScoreTrack(scores=scores, n_samples=y.length, length=x.length)
-
-
-def _fft(y, x) -> ScoreTrack:
-    n, length = y.length, x.length
-    nfft = 1 << (n + length - 2).bit_length()
-    # In place: one nfft/2 complex temporary fewer than fy * conj(fx).
-    fy = np.fft.rfft(y.samples, nfft)
-    fx = np.fft.rfft(x.samples, nfft)
-    np.conjugate(fx, out=fx)
-    fy *= fx
-    scores = np.fft.irfft(fy, nfft)[: n - length + 1]
-    return ScoreTrack(scores=scores, n_samples=n, length=length)
-
-
-def correlation_scores_direct(y, x) -> ScoreTrack:
+def correlation_scores_direct(y, x) -> np.ndarray:
     """Scores by direct summation (numpy sliding dot product)."""
-    return _direct(*_coerce(y, x))
+    return correlation_scores(y, x, method="direct")
 
 
-def correlation_scores_fft(y, x) -> ScoreTrack:
-    """Scores via frequency-domain multiplication.
-
-    Zero-pads to the next power of two at or above ``N + L - 1`` so the
-    circular product never wraps into the valid range.
-    """
-    return _fft(*_coerce(y, x))
+def correlation_scores_fft(y, x) -> np.ndarray:
+    """Scores via frequency-domain multiplication."""
+    return correlation_scores(y, x, method="fft")
 
 
-def correlation_scores(y, x, method: str = "auto") -> ScoreTrack:
-    """Dispatch between the direct and FFT paths.
+def correlation_scores(y, x, method: str = "auto") -> np.ndarray:
+    """Score per candidate start ``s in [0, N-L]``, by the chosen path.
 
-    ``auto`` picks FFT once the direct multiply count ``M*L`` exceeds
-    ``_DIRECT_PER_FFT_COST`` times the FFT's ``nfft*log2(nfft)``; both
-    paths agree to ~1e-12 relative error. The ``dpdetect.xcorr`` logger
-    reports the path and both costs at debug level. Raises
+    ``direct`` uses ``np.correlate``; ``fft`` zero-pads to the power of two
+    ``nfft >= N + L - 1``, so the circular product never wraps into the
+    valid range. ``auto`` picks FFT once the direct multiply count ``M*L``
+    exceeds ``_DIRECT_PER_FFT_COST`` times the FFT's ``nfft*log2(nfft)``;
+    both paths agree to ~1e-12 relative error. The ``dpdetect.xcorr``
+    logger reports the path and both costs at debug level. Raises
     :class:`ValidationError` when a score overflows float64, which finite
     samples can still do.
     """
     if method not in ("auto", "direct", "fft"):
         raise ValidationError(f"unknown correlation method {method!r}")
-    y, x = _coerce(y, x)
+    y = as_measurement(y)
+    x = as_template(x)
     n, length = y.length, x.length
+    if n < length:
+        raise ValidationError(f"measurement shorter than template ({n} < {length})")
     direct_cost = (n - length + 1) * length
     log_nfft = (n + length - 2).bit_length()
     fft_cost = log_nfft << log_nfft
@@ -119,12 +73,21 @@ def correlation_scores(y, x, method: str = "auto") -> ScoreTrack:
         "xcorr %s: N=%d, L=%d, M*L=%d, nfft*log2(nfft)=%d",
         method, n, length, direct_cost, fft_cost,
     )
-    track = _fft(y, x) if method == "fft" else _direct(y, x)
-    finite = np.isfinite(track.scores)
+    if method == "fft":
+        # In place: one nfft/2 complex temporary fewer than fy * conj(fx).
+        nfft = 1 << log_nfft
+        fy = np.fft.rfft(y.samples, nfft)
+        fx = np.fft.rfft(x.samples, nfft)
+        np.conjugate(fx, out=fx)
+        fy *= fx
+        scores = np.fft.irfft(fy, nfft)[: n - length + 1]
+    else:
+        scores = np.correlate(y.samples, x.samples, mode="valid")
+    finite = np.isfinite(scores)
     if not finite.all():
         raise ValidationError(
             f"correlation scores overflow float64 at {finite.size - np.count_nonzero(finite)} "
             f"of {finite.size} starts (N={n}, L={length}); rescale the measurement "
             "or the template"
         )
-    return track
+    return scores

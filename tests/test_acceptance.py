@@ -272,18 +272,18 @@ def test_c10_stated_unit_examples():
     checks.append(objective_value([1.0, 2.0, 3.0], [1, 1], PlacementSet([], 2)) == 0.0)
     checks.append(objective_value(np.zeros(9), np.ones(4), PlacementSet([0, 5], 4)) == 0.0)
     # xcorr
-    checks.append(np.array_equal(correlation_scores_direct([1, 1, 0, 1, 1, 0], [1, 1]).scores, [2, 1, 1, 2, 1]))
+    checks.append(np.array_equal(correlation_scores_direct([1, 1, 0, 1, 1, 0], [1, 1]), [2, 1, 1, 2, 1]))
     y = np.array([4.0, -2.0, 7.0])
-    checks.append(np.array_equal(correlation_scores_direct(y, [1.0]).scores, y))
-    fft_track = correlation_scores_fft([1, 1, 0, 1, 1, 0], [1, 1]).scores
+    checks.append(np.array_equal(correlation_scores_direct(y, [1.0]), y))
+    fft_track = correlation_scores_fft([1, 1, 0, 1, 1, 0], [1, 1])
     checks.append(np.abs(fft_track - np.array([2, 1, 1, 2, 1])).max() <= 1e-9 * 2)
-    checks.append(np.abs(correlation_scores_fft(y, [1.0]).scores - y).max() <= 1e-9 * 7)
+    checks.append(np.abs(correlation_scores_fft(y, [1.0]) - y).max() <= 1e-9 * 7)
     rng = np.random.default_rng(1010)
     yr, xr = rng.standard_normal(64), rng.standard_normal(5)
-    a = correlation_scores_direct(yr, xr).scores
-    b = correlation_scores_fft(yr, xr).scores
+    a = correlation_scores_direct(yr, xr)
+    b = correlation_scores_fft(yr, xr)
     checks.append(np.abs(a - b).max() <= 1e-9 * max(1.0, np.abs(a).max()))
-    checks.append(np.abs(correlation_scores_fft(yr, xr).scores - window_scores(yr, xr)).max() <= 1e-9)
+    checks.append(np.abs(correlation_scores_fft(yr, xr) - window_scores(yr, xr)).max() <= 1e-9)
     # synth
     checks.append(np.array_equal(rect_template(30).samples, np.ones(30)))
     checks.append(np.array_equal(rect_template(1).samples, [1.0]))

@@ -191,7 +191,7 @@ def test_kernel_matches_pointer_dp_bit_for_bit():
             y = rng.standard_normal(n)
             x = rng.standard_normal(length)
         table = dp_solve(y, x, k_max)
-        best, choice = pointer_dp(correlation_scores(y, x).scores, length, k_max)
+        best, choice = pointer_dp(correlation_scores(y, x), length, k_max)
         bits = np.unpackbits(table.choice, axis=1, count=n - length + 2).astype(bool)
         assert np.array_equal(bits, choice.T)
         assert not np.unpackbits(table.choice, axis=1)[:, n - length + 2 :].any()
@@ -265,7 +265,7 @@ def test_final_rows_match_solve_per_column_bit_for_bit():
         else:
             ys = rng.standard_normal((width, n))
             x = rng.standard_normal(length)
-        scores = np.stack([correlation_scores(y, x).scores for y in ys], axis=1)
+        scores = np.stack([correlation_scores(y, x) for y in ys], axis=1)
         rows = dp_final_rows(scores, length, k_max)
         assert rows.shape == (width, k_max + 1)
         for b, y in enumerate(ys):
@@ -325,7 +325,7 @@ def test_block_kernel_matches_per_row_solve_bit_for_bit(monkeypatch, scan_bytes)
     for trial in range(300):
         ys, x = _random_block(rng, trial)
         k_max = int(rng.integers(0, 7))  # k_max = 0 and infeasible counts
-        scores = np.stack([correlation_scores(y, x).scores for y in ys])
+        scores = np.stack([correlation_scores(y, x) for y in ys])
         final, packed = fill_rows(scores, len(x), k_max)
         n_pos = scores.shape[1]
         assert final.shape == (len(ys), k_max + 1)
@@ -372,7 +372,7 @@ def test_fill_equals_maximum_accumulate_fill_bit_for_bit():
     rng = np.random.default_rng(41)
     for trial in range(300):
         ys, x = _random_block(rng, trial)
-        scores = np.stack([correlation_scores(y, x).scores for y in ys])
+        scores = np.stack([correlation_scores(y, x) for y in ys])
         if trial % 2:
             scores[rng.random(scores.shape) < 0.3] = -np.inf
         k_max = int(rng.integers(0, 7))
@@ -387,7 +387,7 @@ def test_detect_rows_match_per_row_detect():
     for trial in range(200):
         ys, x = _random_block(rng, trial)
         k = int(rng.integers(1, 6))
-        scores = np.stack([correlation_scores(y, x).scores for y in ys])
+        scores = np.stack([correlation_scores(y, x) for y in ys])
         try:
             expected = [dp_detect(y, x, k).placements for y in ys]
         except InfeasibleError as exc:

@@ -244,9 +244,9 @@ def test_greedy_null_blocks_match_per_permutation_loop(monkeypatch, caplog):
         assert f"greedy null: B={block}, blocks={-(-gcfg.perms // block)}," in caplog.text
         assert np.array_equal(null, _reference_greedy_null(y, x, gcfg))
         monkeypatch.undo()
-        curve, picks = gap_mod._objective_curve(y, x, gcfg.k_max, "greedy")
+        curve, picks = gap_mod._build_curve(y, x, gcfg, "greedy")
         ref_curve, ref_picks = _reference_greedy_curve(y, x, gcfg.k_max)
-        assert np.array_equal(curve, ref_curve)
+        assert np.array_equal(curve.actual, ref_curve)
         assert picks == ref_picks
 
 
@@ -273,7 +273,7 @@ def test_null_ring_within_table_bytes_when_template_outlasts_candidates(caplog):
     with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
         gap_curve(y, x, GapConfig(k_max=k_max, perms=3, seed=2), "dp")
     assert "dp null: B=3, blocks=1, M=11" in caplog.text
-    scores = correlation_scores(y, x).scores[:, None]
+    scores = correlation_scores(y, x)[:, None]
     tracemalloc.start()
     try:
         rows = dp_final_rows(scores, length, k_max)

@@ -67,8 +67,8 @@ def test_objective_matches_correlation_scores():
     y = rng.standard_normal(80)
     x = rng.standard_normal(7)
     starts = [1, 12, 30, 55]
-    track = correlation_scores(y, x)
-    expected = sum(track.scores[s] for s in starts)
+    scores = correlation_scores(y, x)
+    expected = sum(scores[s] for s in starts)
     got = objective_value(y, x, PlacementSet(starts, 7))
     assert got == pytest.approx(expected, rel=1e-12)
 

@@ -16,30 +16,30 @@ REL_TOL = 1e-9
 
 
 def test_direct_example():
-    track = correlation_scores_direct([1, 1, 0, 1, 1, 0], [1, 1])
-    np.testing.assert_array_equal(track.scores, [2, 1, 1, 2, 1])
+    scores = correlation_scores_direct([1, 1, 0, 1, 1, 0], [1, 1])
+    np.testing.assert_array_equal(scores, [2, 1, 1, 2, 1])
 
 
 def test_direct_identity_template():
     y = [3.0, -1.0, 2.5, 0.0]
-    track = correlation_scores_direct(y, [1.0])
-    np.testing.assert_array_equal(track.scores, y)
+    scores = correlation_scores_direct(y, [1.0])
+    np.testing.assert_array_equal(scores, y)
 
 
 def test_direct_zero_measurement():
-    track = correlation_scores_direct(np.zeros(10), np.ones(3))
-    assert not track.scores.any()
+    scores = correlation_scores_direct(np.zeros(10), np.ones(3))
+    assert not scores.any()
 
 
 def test_fft_matches_direct_example():
-    track = correlation_scores_fft([1, 1, 0, 1, 1, 0], [1, 1])
-    np.testing.assert_allclose(track.scores, [2, 1, 1, 2, 1], atol=REL_TOL)
+    scores = correlation_scores_fft([1, 1, 0, 1, 1, 0], [1, 1])
+    np.testing.assert_allclose(scores, [2, 1, 1, 2, 1], atol=REL_TOL)
 
 
 def test_fft_identity_template():
     y = np.array([3.0, -1.0, 2.5, 0.0])
-    track = correlation_scores_fft(y, [1.0])
-    np.testing.assert_allclose(track.scores, y, atol=REL_TOL)
+    scores = correlation_scores_fft(y, [1.0])
+    np.testing.assert_allclose(scores, y, atol=REL_TOL)
 
 
 def test_fft_matches_direct_random_small():
@@ -49,8 +49,8 @@ def test_fft_matches_direct_random_small():
         n = int(rng.integers(length, 65))
         y = rng.standard_normal(n)
         x = rng.standard_normal(length)
-        a = correlation_scores_direct(y, x).scores
-        b = correlation_scores_fft(y, x).scores
+        a = correlation_scores_direct(y, x)
+        b = correlation_scores_fft(y, x)
         scale = max(np.abs(a).max(), 1.0)
         assert np.abs(a - b).max() <= REL_TOL * scale
 
@@ -67,7 +67,7 @@ def test_fft_in_place_product_is_bit_identical():
         nfft = 1 << int(np.ceil(np.log2(n + length - 1)))
         spec = np.fft.rfft(y, nfft) * np.conj(np.fft.rfft(x, nfft))
         expected = np.fft.irfft(spec, nfft)[: n - length + 1]
-        np.testing.assert_array_equal(correlation_scores_fft(y, x).scores, expected)
+        np.testing.assert_array_equal(correlation_scores_fft(y, x), expected)
 
 
 def test_fft_matches_direct_large():
@@ -75,8 +75,8 @@ def test_fft_matches_direct_large():
     for n, length in [(1_000, 30), (10_000, 64), (100_000, 200)]:
         y = rng.standard_normal(n)
         x = rng.standard_normal(length)
-        a = correlation_scores_direct(y, x).scores
-        b = correlation_scores_fft(y, x).scores
+        a = correlation_scores_direct(y, x)
+        b = correlation_scores_fft(y, x)
         assert np.abs(a - b).max() <= REL_TOL * np.abs(a).max()
 
 
@@ -85,15 +85,15 @@ def test_matches_independent_window_sums():
     y = rng.standard_normal(50)
     x = rng.standard_normal(6)
     expected = window_scores(y, x)
-    np.testing.assert_allclose(correlation_scores(y, x).scores, expected, rtol=1e-12)
+    np.testing.assert_allclose(correlation_scores(y, x), expected, rtol=1e-12)
 
 
 def test_linearity_in_measurement():
     rng = np.random.default_rng(13)
     y = rng.standard_normal(40)
     x = rng.standard_normal(5)
-    base = correlation_scores_fft(y, x).scores
-    scaled = correlation_scores_fft(2.5 * y, x).scores
+    base = correlation_scores_fft(y, x)
+    scaled = correlation_scores_fft(2.5 * y, x)
     np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-12)
 
 
@@ -101,9 +101,9 @@ def test_dispatch_modes():
     rng = np.random.default_rng(14)
     y = rng.standard_normal(30)
     x = rng.standard_normal(4)
-    auto = correlation_scores(y, x).scores
-    direct = correlation_scores(y, x, method="direct").scores
-    fft = correlation_scores(y, x, method="fft").scores
+    auto = correlation_scores(y, x)
+    direct = correlation_scores(y, x, method="direct")
+    fft = correlation_scores(y, x, method="fft")
     np.testing.assert_allclose(auto, direct, rtol=1e-12)
     np.testing.assert_allclose(fft, direct, atol=REL_TOL)
     with pytest.raises(ValidationError):
@@ -127,34 +127,33 @@ def test_auto_logs_path_on_each_side_of_cutover(caplog):
         x = rng.standard_normal(length)
         caplog.clear()
         with caplog.at_level("DEBUG", logger="dpdetect.xcorr"):
-            track = correlation_scores(y, x)
+            scores = correlation_scores(y, x)
         assert [r.getMessage() for r in caplog.records] == [
             f"xcorr {path}: N={n}, L={length}, M*L={(n - length + 1) * length}, "
             f"nfft*log2(nfft)={fft_cost}"
         ]
-        np.testing.assert_array_equal(track.scores, reference(y, x).scores)
+        np.testing.assert_array_equal(scores, reference(y, x))
 
 
 @pytest.mark.parametrize("method", ["auto", "direct", "fft"])
 def test_overflowing_scores_rejected(method):
-    # Finite samples whose window sums pass the largest float64.
-    with pytest.raises(ValidationError, match=r"overflow float64 at 46 of 46 starts"):
-        with np.errstate(over="ignore", invalid="ignore"):  # the FFT's own overflow
-            correlation_scores([1e308] * 50, np.ones(5), method=method)
+    # Finite samples whose window sums pass the largest float64, refused by
+    # the dispatcher and by the entry point that forces the same path.
+    forced = {"auto": correlation_scores, "direct": correlation_scores_direct,
+              "fft": correlation_scores_fft}[method]
+    for call in (lambda y, x: correlation_scores(y, x, method=method), forced):
+        with pytest.raises(ValidationError, match=r"overflow float64 at 46 of 46 starts"):
+            with np.errstate(over="ignore", invalid="ignore"):  # the FFT's own overflow
+                call([1e308] * 50, np.ones(5))
     if method != "fft":  # the transforms of such samples overflow themselves
         y = np.full(50, 1e308)
         y[::2] = -1e308  # sums of +-1e308 pairs are finite: no error
-        np.testing.assert_array_equal(correlation_scores(y, np.ones(2), method=method).scores, 0.0)
+        np.testing.assert_array_equal(correlation_scores(y, np.ones(2), method=method), 0.0)
 
 
 def test_template_longer_than_measurement_rejected():
     with pytest.raises(ValidationError):
         correlation_scores_direct([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_center_view():
-    track = correlation_scores_direct(np.zeros(10), np.ones(4))
-    np.testing.assert_array_equal(track.centers, np.arange(7) + 2)
 
 
 def test_fft_runtime_scales_quasilinearly():
