@@ -11,11 +11,15 @@ failures are logged, scored as empty detections and counted in the
 record's ``failures``.
 
 :func:`run_sweep` processes the trials of a noise level in blocks of
-bounded size (:func:`~dpdetect.greedy.block_rows`). Synthesis, the random
-and convex baselines and the gap statistic's count estimates stay per
-trial, in trial order, so the seed rule and each trial's generator stream
-are unchanged; known-count ``dp`` and ``greedy`` run once per block over
-one score row per trial. The records equal those of a trial-at-a-time loop.
+bounded size (:func:`~dpdetect.greedy.block_rows`). Only the generator
+draws stay per trial, in trial order (the truth starts, the noise row and
+the random baseline's starts), so the seed rule and each trial's stream
+are unchanged. The template copies are planted into the block at once,
+known-count ``dp`` and ``greedy`` run once per block over one score row
+per trial, and the convex baseline and the gap statistic's count estimates
+run per trial on their block row. All trials of a noise level are scored
+in one lockstep matching, or one per :data:`_SCORE_CHUNK_BYTES` of starts
+in a longer one. The records equal those of a trial-at-a-time loop.
 
 Both sweeps (:func:`run_sweep` over noise, :func:`run_length_scaling` over
 the measurement length) yield :class:`BenchRecord` rows, written by
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,11 +39,11 @@ import numpy as np
 from .convex import ConvexConfig, convex_detect
 from .dp import dp_detect_rows
 from .gap import GapConfig, estimate_k
-from .greedy import block_rows, random_detect, separated_peaks
-from .metrics import score
-from .model import METHODS, DetectError, PlacementSet, ValidationError
-from .synth import SEPARATIONS, SynthConfig, rect_template, synthesize
-from .xcorr import correlation_scores
+from .greedy import block_rows, separated_peaks
+from .metrics import score_rows
+from .model import METHODS, DetectError, ValidationError
+from .synth import SEPARATIONS, SynthConfig, plant, rect_template, sample_starts
+from .xcorr import correlation_rows
 
 __all__ = [
     "BenchConfig",
@@ -55,6 +60,13 @@ log = logging.getLogger(__name__)
 
 K_MODES = ("known", "gap")
 _CONVEX_N_LIMIT = 200
+
+# Bytes of int64 starts (truth and every method's estimates) that run_sweep
+# holds before it scores them in one lockstep matching. A paper-sweep noise
+# level (200 trials, K = 6, three methods: 37.5 KiB) is scored at once,
+# while a long sweep's memory stays bounded. One call on those 600 rows took
+# about 0.4 ms against 0.24 ms on 45 rows (one block) on a 2-core Xeon.
+_SCORE_CHUNK_BYTES = 64 << 10
 
 
 @dataclass(frozen=True)
@@ -86,13 +98,15 @@ class BenchConfig:
             raise ValidationError("trials must be >= 1")
         if not self.sigma2_grid:
             raise ValidationError("sigma2 grid must be non-empty")
-        if any(s < 0 for s in self.sigma2_grid):
-            raise ValidationError("sigma2 grid entries must be non-negative")
+        if any(not math.isfinite(s) or s < 0 for s in self.sigma2_grid):
+            raise ValidationError("sigma2 grid entries must be finite and non-negative")
         if not self.methods:
             raise ValidationError("need at least one method")
         unknown = set(self.methods) - METHODS
         if unknown:
             raise ValidationError(f"unknown methods {sorted(unknown)}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValidationError(f"methods repeat: {list(self.methods)}")
         if self.separation not in SEPARATIONS:
             raise ValidationError(f"unknown separation {self.separation!r}")
         if self.length_hat is not None and self.length_hat < 1:
@@ -137,110 +151,159 @@ class BenchRecord:
     n_samples: int | None = None
 
 
-def _detect_one(method, y, template, cfg: BenchConfig, sigma2, rng, trial_seed):
-    """One trial's detection by a method that runs per trial."""
-    if method == "random":
-        return random_detect(y, template, cfg.k, rng)
+def _detect_one(method, y, template, cfg: BenchConfig, convex_cfg, k_max, trial_seed):
+    """One trial's placements by ``convex`` or by a gap-mode ``dp``/``greedy``."""
     if method == "convex":
-        return convex_detect(y, template, cfg.k, ConvexConfig(sigma2=sigma2))
-    k_max = cfg.k_max or max(cfg.n_samples // cfg.detector_length, 1)
+        return convex_detect(y, template, cfg.k, convex_cfg).placements
     gap_cfg = GapConfig(k_max=k_max, perms=cfg.perms, seed=trial_seed)
     _, result = estimate_k(y, template, gap_cfg, detector=method)
-    return result
+    return result.placements
 
 
 def _detect_block(methods, ys, template, k) -> dict:
-    """Placements of ``dp`` and ``greedy`` for a block of trials, known ``k``.
+    """Starts of ``dp`` and ``greedy`` for a ``(T, N)`` block of trials, known ``k``.
 
-    One score row per trial, from :func:`correlation_scores`; each method
-    then runs once over the block. A method that raises fails every trial
-    of the block: its entry is the error, once per trial.
+    One score row per trial, from :func:`correlation_rows`; each method
+    then runs once over the block and gives a ``(T, k)`` int array, each
+    row ascending after its ``-1`` padding. A method that raises fails
+    every trial of the block: its entry is the error.
     """
-    found = {}
     try:
-        scores = np.stack([correlation_scores(y, template) for y in ys])
+        scores = correlation_rows(ys, template)
     except DetectError as exc:
-        return {method: [exc] * len(ys) for method in methods}
+        return dict.fromkeys(methods, exc)
+    found = {}
     if "dp" in methods:
         try:
             found["dp"] = dp_detect_rows(scores, template.length, k)
         except DetectError as exc:
-            found["dp"] = [exc] * len(ys)
+            found["dp"] = exc
     if "greedy" in methods:
         picks, _ = separated_peaks(scores, template.length, k)
-        found["greedy"] = [
-            PlacementSet(sorted(s for s in row if s >= 0), template.length)
-            for row in picks.tolist()
-        ]
+        found["greedy"] = np.sort(picks, axis=1)
     return found
+
+
+def _add_scores(sums, pending, cfg: BenchConfig) -> np.ndarray:
+    """``sums`` plus the scores of the pending blocks' trials, added in trial order.
+
+    ``sums`` is ``(methods, 4)``: F1, recall, precision and ``k_err``.
+    ``pending`` holds ``(truth, est)`` per block: ``(T, k)`` truth starts
+    and ``(methods, T, width)`` estimates, ``-1`` padded. One lockstep
+    matching scores them all; a running sum from ``sums`` adds them as a
+    trial-at-a-time loop would.
+    """
+    truth = np.concatenate([t for t, _ in pending])
+    est = np.concatenate([e for _, e in pending], axis=1)
+    n_methods, n_trials, width = est.shape
+    stats = score_rows(
+        np.tile(truth, (n_methods, 1)), est.reshape(-1, width), cfg.length, cfg.k
+    ).reshape(n_methods, n_trials, 4)
+    return np.cumsum(np.concatenate([sums[:, np.newaxis], stats], axis=1), axis=1)[:, -1]
 
 
 def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
     """Mean scores per (sigma2, method) over paired synthetic trials.
 
-    Trials run in blocks of :func:`~dpdetect.greedy.block_rows` rows.
-    Synthesis and the per-trial methods (``random``, ``convex``, and
-    ``dp``/``greedy`` under ``k_mode="gap"``) run trial by trial in trial
-    order; known-``k`` ``dp`` and ``greedy`` run once per block. Each
-    method's scores are summed in trial order, so the records do not
-    depend on the block size.
+    Trials run in blocks of :func:`~dpdetect.greedy.block_rows` rows. Per
+    trial, in trial order, only the generator draws run: the truth starts,
+    the noise row and, for ``random``, its starts (the draws of
+    :func:`~dpdetect.greedy.random_detect`, without its objective). The
+    template copies are planted into the block at once, known-``k`` ``dp``
+    and ``greedy`` run once per block, and ``convex`` and gap-mode
+    ``dp``/``greedy`` run per trial on their block row. The starts are then
+    scored in one lockstep matching per noise level, or per
+    :data:`_SCORE_CHUNK_BYTES` of starts when a level holds more, and each
+    method's scores are summed in trial order, so the records equal those
+    of a trial-at-a-time loop and do not depend on the block size.
     """
     true_template = rect_template(cfg.length)
     detector_template = rect_template(cfg.detector_length)
+    methods = {m: i for i, m in enumerate(cfg.methods)}
     blocked = tuple(
         m for m in cfg.methods if m in ("dp", "greedy") and cfg.k_mode == "known"
     )
-    per_trial = tuple(m for m in cfg.methods if m not in blocked)
+    per_trial = tuple(m for m in cfg.methods if m not in blocked + ("random",))
+    k_max = cfg.k_max or max(cfg.n_samples // cfg.detector_length, 1)
+    # Padded width of a method's starts: a gap-mode count can reach k_max.
+    width = cfg.k if cfg.k_mode == "known" else max(cfg.k, k_max)
+    random_cfg = random_error = None
+    if "random" in methods:
+        try:  # random_detect's sampler
+            random_cfg = SynthConfig(
+                n_samples=cfg.n_samples, length=cfg.detector_length, k=cfg.k, sigma2=0.0
+            )
+        except ValidationError as exc:
+            random_error = exc
     n_pos = max(cfg.n_samples - cfg.detector_length + 1, 1)
     block = block_rows(n_pos)
+    trial_bytes = 8 * (cfg.k + len(methods) * width)
+    score_every = max(1, _SCORE_CHUNK_BYTES // (block * trial_bytes))
     records = []
     for sig_idx, sigma2 in enumerate(cfg.sigma2_grid):
-        sums = {m: np.zeros(4) for m in cfg.methods}
-        failures = dict.fromkeys(cfg.methods, 0)
+        synth_cfg = SynthConfig(
+            n_samples=cfg.n_samples,
+            length=cfg.length,
+            k=cfg.k,
+            sigma2=sigma2,
+            separation=cfg.separation,
+        )
+        sd = np.sqrt(sigma2)
+        convex_cfg = ConvexConfig(sigma2=sigma2) if "convex" in methods else None
+        seeds = range(cfg.seed + sig_idx * cfg.trials, cfg.seed + (sig_idx + 1) * cfg.trials)
+        sums = np.zeros((len(methods), 4))
+        pending = []
+        failures = dict.fromkeys(methods, 0)
         for first in range(0, cfg.trials, block):
-            seeds = [
-                cfg.seed + sig_idx * cfg.trials + t
-                for t in range(first, min(first + block, cfg.trials))
-            ]
-            ys, truths = [], []
-            found = {m: [] for m in per_trial}
-            for trial_seed in seeds:
+            block_seeds = seeds[first : first + block]
+            ys = np.empty((len(block_seeds), cfg.n_samples))
+            truth = np.empty((len(block_seeds), cfg.k), dtype=np.int64)
+            est = np.full((len(methods), len(block_seeds), width), -1, dtype=np.int64)
+            failed = {m: {} for m in methods}
+            for row, trial_seed in enumerate(block_seeds):
                 rng = np.random.default_rng(trial_seed)
-                synth_cfg = SynthConfig(
-                    n_samples=cfg.n_samples,
-                    length=cfg.length,
-                    k=cfg.k,
-                    sigma2=sigma2,
-                    separation=cfg.separation,
-                    seed=trial_seed,
-                )
-                y, truth = synthesize(synth_cfg, true_template, rng)
-                ys.append(y)
-                truths.append(truth)
-                for method in per_trial:
+                truth[row] = sample_starts(synth_cfg, rng)
+                ys[row] = rng.normal(0.0, sd, cfg.n_samples)
+                if random_cfg is not None:
                     try:
-                        found[method].append(
-                            _detect_one(
-                                method, y, detector_template, cfg, sigma2, rng, trial_seed
-                            ).placements
-                        )
+                        est[methods["random"], row, -cfg.k :] = sample_starts(random_cfg, rng)
                     except DetectError as exc:
-                        found[method].append(exc)
-            if blocked:
-                found.update(_detect_block(blocked, ys, detector_template, cfg.k))
-            for method in cfg.methods:
-                for trial_seed, truth, placements in zip(seeds, truths, found[method]):
-                    if isinstance(placements, DetectError):
-                        log.warning(
-                            "trial %d method %s failed (%s); scoring as empty",
+                        failed["random"][trial_seed] = exc
+            if random_error is not None:
+                failed["random"] = dict.fromkeys(block_seeds, random_error)
+            plant(ys, truth, true_template.samples)
+            if not np.isfinite(ys).all():
+                raise ValidationError("measurement contains non-finite values")
+            for method in per_trial:
+                for row, trial_seed in enumerate(block_seeds):
+                    try:
+                        starts = _detect_one(
+                            method, ys[row], detector_template, cfg, convex_cfg, k_max,
                             trial_seed,
-                            method,
-                            placements,
-                        )
-                        placements = PlacementSet([], cfg.detector_length)
-                        failures[method] += 1
-                    rep = score(truth, placements, cfg.length, cfg.k)
-                    sums[method] += (rep.f1, rep.recall, rep.precision, rep.k_err)
+                        ).starts
+                        est[methods[method], row, width - starts.size :] = starts
+                    except DetectError as exc:
+                        failed[method][trial_seed] = exc
+            if blocked:
+                found = _detect_block(blocked, ys, detector_template, cfg.k)
+                for method, starts in found.items():
+                    if isinstance(starts, DetectError):
+                        failed[method] = dict.fromkeys(block_seeds, starts)
+                    else:
+                        est[methods[method], :, -cfg.k :] = starts
+            for method, errors in failed.items():
+                for trial_seed, exc in errors.items():
+                    log.warning(
+                        "trial %d method %s failed (%s); scoring as empty",
+                        trial_seed,
+                        method,
+                        exc,
+                    )
+                failures[method] += len(errors)
+            pending.append((truth, est))
+            if len(pending) == score_every or first + block >= cfg.trials:
+                sums = _add_scores(sums, pending, cfg)
+                pending = []
         log.debug(
             "sweep cell: sigma2=%g, trials=%d, block=%dx%d, k=%d, failures=%s",
             sigma2,
@@ -250,8 +313,8 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
             cfg.k,
             failures,
         )
-        for method in cfg.methods:
-            f1, recall, precision, k_err = sums[method] / cfg.trials
+        for method, total in zip(methods, sums):
+            f1, recall, precision, k_err = total / cfg.trials
             records.append(
                 BenchRecord(
                     sigma2=float(sigma2),

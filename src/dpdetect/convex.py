@@ -81,6 +81,10 @@ class ConvexConfig:
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValidationError("max_outer must be >= 1")
+        if not math.isfinite(self.sigma2):
+            raise ValidationError("noise variance must be finite")
+        if self.delta_override is not None and not math.isfinite(self.delta_override):
+            raise ValidationError("residual budget delta must be finite")
 
     def delta(self, n_samples: int) -> float:
         d = (

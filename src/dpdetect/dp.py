@@ -334,15 +334,16 @@ def dp_backtrack(table: DpTable, k: int) -> PlacementSet:
     return PlacementSet(starts[0], table.length)
 
 
-def dp_detect_rows(scores, length: int, k: int) -> list[PlacementSet]:
-    """:func:`dp_detect` on each row of a ``(T, M)`` block of score rows.
+def dp_detect_rows(scores, length: int, k: int) -> np.ndarray:
+    """:func:`dp_detect`'s starts for each row of a ``(T, M)`` block of score rows.
 
-    Row ``t`` gives the same placements as ``dp_detect`` on the measurement
-    whose :func:`correlation_scores` it is. Raises what ``dp_detect`` would
-    for one row: :class:`ValidationError` for ``k < 1`` or a table above
-    :data:`TABLE_BYTES_LIMIT` or when some row's optimum overflows float64,
-    :class:`InfeasibleError` when ``k`` placements do not fit in ``M``
-    candidates, which all rows share.
+    Returns a ``(T, k)`` int64 array whose row ``t`` holds, ascending, the
+    starts ``dp_detect`` finds on the measurement whose
+    :func:`correlation_scores` row ``t`` is. Raises what ``dp_detect``
+    would for one row: :class:`ValidationError` for ``k < 1`` or a table
+    above :data:`TABLE_BYTES_LIMIT` or when some row's optimum overflows
+    float64, :class:`InfeasibleError` when ``k`` placements do not fit in
+    ``M`` candidates, which all rows share.
     """
     if k < 1:
         raise ValidationError("need at least one occurrence to detect")
@@ -351,7 +352,7 @@ def dp_detect_rows(scores, length: int, k: int) -> list[PlacementSet]:
     check_table(n_samples, length, k)
     final, packed = fill_rows(scores, length, k)
     _check_optima(final[:, k], k, length, n_samples)
-    return [PlacementSet(row, length) for row in backtrack_rows(packed, n_pos, length, k)]
+    return backtrack_rows(packed, n_pos, length, k)
 
 
 def dp_detect(y, x, k: int) -> DetectionResult:

@@ -4,11 +4,13 @@ Placements are rejection-sampled: each new start is drawn uniformly over
 the positions still eligible under the separation regime; if a partial
 configuration dead-ends (no eligible position left), the whole draw is
 restarted. Gaussian noise is then added on top of the clean superposition
-of template copies.
+of template copies. :func:`plant` adds the copies to a ``(T, N)`` block of
+noise rows at once; :func:`synthesize` is its one-row case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +56,8 @@ class SynthConfig:
             raise ValidationError("need n_samples >= length >= 1")
         if self.k < 1:
             raise ValidationError("need at least one occurrence")
-        if self.sigma2 < 0:
-            raise ValidationError("noise variance must be non-negative")
+        if not math.isfinite(self.sigma2) or self.sigma2 < 0:
+            raise ValidationError("noise variance must be finite and non-negative")
         if self.separation not in SEPARATIONS:
             raise ValidationError(f"unknown separation {self.separation!r}")
         if self.max_attempts < 1:
@@ -79,10 +81,17 @@ def sample_placements(cfg: SynthConfig, rng: np.random.Generator) -> PlacementSe
     A position is eligible when it lies in ``[0, N-L]`` and is at least
     ``min_gap`` away (in start index) from every start already placed. A
     dead end restarts the configuration; the total number of configuration
-    attempts is capped by ``cfg.max_attempts``.
+    attempts is capped by ``cfg.max_attempts``. Raises
+    :class:`InfeasibleError` when no configuration fits, that is when
+    ``(k-1) * min_gap + length > N``, before drawing anything.
     """
+    return PlacementSet(sample_starts(cfg, rng), cfg.length)
+
+
+def sample_starts(cfg: SynthConfig, rng: np.random.Generator) -> list[int]:
+    """The sorted starts of :func:`sample_placements`, from the same draws."""
     gap = cfg.min_gap
-    if cfg.k * gap > cfg.n_samples:
+    if (cfg.k - 1) * gap + cfg.length > cfg.n_samples:
         raise InfeasibleError(
             f"cannot fit K={cfg.k} occurrences of length {cfg.length} in "
             f"N={cfg.n_samples} with separation {gap}"
@@ -107,15 +116,27 @@ def sample_placements(cfg: SynthConfig, rng: np.random.Generator) -> PlacementSe
             starts.append(s)
             # Block s - gap + 1 .. s + gap - 1. Earlier picks block 2*gap - 1
             # positions each, so the block reaches no other interval.
-            pieces = [(a, b) for a, b in ((lo, s - gap + 1), (s + gap, hi)) if a < b]
-            free[j : j + 1] = pieces
-            size -= (hi - lo) - sum(b - a for a, b in pieces)
+            left, right = max(lo, s - gap + 1), min(hi, s + gap)
+            free[j : j + 1] = [(a, b) for a, b in ((lo, left), (right, hi)) if a < b]
+            size -= right - left
         else:
-            return PlacementSet(sorted(starts), cfg.length)
+            starts.sort()
+            return starts
     raise InfeasibleError(
         f"placement sampling exhausted {cfg.max_attempts} attempts for "
         f"N={cfg.n_samples}, L={cfg.length}, K={cfg.k}, separation {gap}"
     )
+
+
+def plant(rows: np.ndarray, starts: np.ndarray, x: np.ndarray) -> None:
+    """Add a copy of ``x`` at each start of each row, in place.
+
+    ``rows`` is a ``(T, N)`` float block and ``starts`` a ``(T, k)`` int
+    block of starts at least ``len(x)`` apart within each row, so no sample
+    receives two copies and one fancy-indexed add covers the block.
+    """
+    index = starts[:, :, np.newaxis] + np.arange(x.size)
+    rows[np.arange(rows.shape[0])[:, np.newaxis, np.newaxis], index] += x
 
 
 def synthesize(
@@ -127,6 +148,7 @@ def synthesize(
 
     Returns the noisy measurement together with the ground-truth placements.
     Bit-reproducible for a fixed ``cfg.seed`` when no generator is passed.
+    The generator draws the starts, then ``N`` normal samples.
     """
     x = as_template(x)
     if x.length != cfg.length:
@@ -135,9 +157,7 @@ def synthesize(
         )
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    truth = sample_placements(cfg, rng)
-    clean = np.zeros(cfg.n_samples)
-    for s in truth.starts:
-        clean[s : s + cfg.length] += x.samples
-    noise = rng.normal(0.0, np.sqrt(cfg.sigma2), cfg.n_samples)
-    return Measurement(clean + noise), truth
+    starts = sample_starts(cfg, rng)
+    y = rng.normal(0.0, np.sqrt(cfg.sigma2), (1, cfg.n_samples))
+    plant(y, np.array([starts], dtype=np.int64), x.samples)
+    return Measurement(y[0]), PlacementSet(starts, cfg.length)

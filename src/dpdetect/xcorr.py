@@ -4,7 +4,9 @@ The score at start ``s`` is ``sum_i y[s+i] * x[i]`` for ``i in [0, L)``,
 which is exactly the contribution of a placement at ``s`` to the detection
 objective. :func:`correlation_scores` computes them by direct summation
 or through the FFT and returns a plain float64 array of ``N - L + 1``
-scores; the two named entry points force one path.
+scores; the two named entry points force one path. It is the one-row case
+of :func:`correlation_rows`, which scores a ``(T, N)`` block of
+measurements, as a benchmark sweep hands it.
 """
 
 from __future__ import annotations
@@ -55,13 +57,28 @@ def correlation_scores(y, x, method: str = "auto") -> np.ndarray:
     both paths agree to ~1e-12 relative error. The ``dpdetect.xcorr``
     logger reports the path and both costs at debug level. Raises
     :class:`ValidationError` when a score overflows float64, which finite
-    samples can still do.
+    samples can still do. The one-row case of :func:`correlation_rows`.
+    """
+    y = as_measurement(y)
+    return correlation_rows(y.samples[np.newaxis], x, method)[0]
+
+
+def correlation_rows(ys, x, method: str = "auto") -> np.ndarray:
+    """:func:`correlation_scores` of each row of a ``(T, N)`` block, ``(T, M)``.
+
+    The rows must be finite (a :class:`~dpdetect.model.Measurement` each,
+    or checked by the caller). Row ``t`` equals ``correlation_scores`` of
+    row ``t`` bit for bit: the direct path runs ``np.correlate`` per row,
+    the FFT path the same transforms along the last axis. One path choice,
+    one debug line and one overflow check cover the block.
     """
     if method not in ("auto", "direct", "fft"):
         raise ValidationError(f"unknown correlation method {method!r}")
-    y = as_measurement(y)
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 2:
+        raise ValidationError(f"expected a (T, N) block of rows, got shape {ys.shape}")
     x = as_template(x)
-    n, length = y.length, x.length
+    n, length = ys.shape[1], x.length
     if n < length:
         raise ValidationError(f"measurement shorter than template ({n} < {length})")
     direct_cost = (n - length + 1) * length
@@ -76,13 +93,17 @@ def correlation_scores(y, x, method: str = "auto") -> np.ndarray:
     if method == "fft":
         # In place: one nfft/2 complex temporary fewer than fy * conj(fx).
         nfft = 1 << log_nfft
-        fy = np.fft.rfft(y.samples, nfft)
+        fy = np.fft.rfft(ys, nfft)
         fx = np.fft.rfft(x.samples, nfft)
         np.conjugate(fx, out=fx)
         fy *= fx
-        scores = np.fft.irfft(fy, nfft)[: n - length + 1]
+        scores = np.fft.irfft(fy, nfft)[:, : n - length + 1]
+    elif ys.shape[0] == 1:  # np.correlate has no out argument: no block copy
+        scores = np.correlate(ys[0], x.samples, mode="valid")[np.newaxis]
     else:
-        scores = np.correlate(y.samples, x.samples, mode="valid")
+        scores = np.empty((ys.shape[0], n - length + 1))
+        for row, y in zip(scores, ys):
+            row[:] = np.correlate(y, x.samples, mode="valid")
     finite = np.isfinite(scores)
     if not finite.all():
         raise ValidationError(

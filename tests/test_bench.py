@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 
 from dpdetect import (
+    ConvexConfig,
     DetectError,
+    GapConfig,
     PlacementSet,
     SynthConfig,
     ValidationError,
+    convex_detect,
     dp_detect,
+    estimate_k,
     greedy_detect,
     random_detect,
     rect_template,
     score,
     synthesize,
 )
+from dpdetect import bench as bench_mod
 from dpdetect import greedy as greedy_mod
 from dpdetect.bench import (
     BenchConfig,
@@ -257,8 +262,13 @@ def test_bad_config_values():
         BenchConfig(n_samples=100, length=10, k=2, sigma2_grid=())
     with pytest.raises(ValidationError):
         BenchConfig(n_samples=100, length=10, k=2, sigma2_grid=(1.0,), trials=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            BenchConfig(n_samples=100, length=10, k=2, sigma2_grid=(1.0, bad))
     with pytest.raises(ValidationError):
         BenchConfig(n_samples=100, length=10, k=2, sigma2_grid=(1.0,), methods=("zen",))
+    with pytest.raises(ValidationError, match="repeat"):
+        BenchConfig(n_samples=100, length=10, k=2, sigma2_grid=(1.0,), methods=("dp", "dp"))
     with pytest.raises(ValidationError):
         BenchConfig(n_samples=100, length=10, k=2, sigma2_grid=(1.0,), k_mode="psychic")
 
@@ -297,12 +307,25 @@ def test_sweep_without_failures_keeps_csv_layout(tmp_path):
 
 
 def reference_sweep(cfg):
-    """A trial-at-a-time known-k sweep: records and the failed trials."""
+    """A trial-at-a-time sweep: records and the failed (trial, method) pairs."""
+    k_max = cfg.k_max or max(cfg.n_samples // cfg.detector_length, 1)
+
+    def gap(method):
+        def detect(y, x, rng, seed, sigma2):
+            gap_cfg = GapConfig(k_max=k_max, perms=cfg.perms, seed=seed)
+            return estimate_k(y, x, gap_cfg, detector=method)[1]
+        return detect
+
     detectors = {
-        "dp": lambda y, x, rng: dp_detect(y, x, cfg.k),
-        "greedy": lambda y, x, rng: greedy_detect(y, x, cfg.k),
-        "random": lambda y, x, rng: random_detect(y, x, cfg.k, rng),
+        "dp": lambda y, x, rng, seed, sigma2: dp_detect(y, x, cfg.k),
+        "greedy": lambda y, x, rng, seed, sigma2: greedy_detect(y, x, cfg.k),
+        "random": lambda y, x, rng, seed, sigma2: random_detect(y, x, cfg.k, rng),
+        "convex": lambda y, x, rng, seed, sigma2: convex_detect(
+            y, x, cfg.k, ConvexConfig(sigma2=sigma2)
+        ),
     }
+    if cfg.k_mode == "gap":
+        detectors.update(dp=gap("dp"), greedy=gap("greedy"))
     records, failed = [], []
     for i, sigma2 in enumerate(cfg.sigma2_grid):
         sums = {m: np.zeros(4) for m in cfg.methods}
@@ -317,7 +340,9 @@ def reference_sweep(cfg):
             y, truth = synthesize(synth, rect_template(cfg.length), rng)
             for method in cfg.methods:
                 try:
-                    est = detectors[method](y, rect_template(cfg.detector_length), rng)
+                    est = detectors[method](
+                        y, rect_template(cfg.detector_length), rng, seed, sigma2
+                    )
                     placements = est.placements
                 except DetectError:
                     placements = PlacementSet([], cfg.detector_length)
@@ -337,6 +362,15 @@ def reference_sweep(cfg):
     return records, failed
 
 
+def _warned(caplog):
+    """The (trial, method) pairs of the sweep's failure warnings, sorted."""
+    return sorted(
+        (int(r.getMessage().split()[1]), r.getMessage().split()[3])
+        for r in caplog.records
+        if r.levelno == logging.WARNING
+    )
+
+
 PAPER = dict(n_samples=300, length=30, trials=37, methods=("dp", "greedy", "random"))
 
 
@@ -353,13 +387,50 @@ PAPER = dict(n_samples=300, length=30, trials=37, methods=("dp", "greedy", "rand
             n_samples=120, length=12, k=4, sigma2_grid=(0.5,), trials=9,
             methods=("random", "greedy", "dp"), seed=5,
         ),
+        # Four placements of length 40 do not fit in N=120: dp and random
+        # fail on every trial, in the same blocks (15 trials each at M=81).
+        BenchConfig(
+            n_samples=120, length=12, k=4, sigma2_grid=(0.5, 2.0), trials=20,
+            methods=("dp", "random", "greedy"), length_hat=40, seed=4,
+        ),
+        BenchConfig(
+            n_samples=120, length=12, k=4, sigma2_grid=(0.5, 2.0), trials=7,
+            methods=("dp", "greedy", "random"), k_mode="gap", k_max=8, perms=10, seed=11,
+        ),
+        BenchConfig(
+            n_samples=60, length=6, k=3, sigma2_grid=(0.3, 1.5), trials=6,
+            methods=("convex", "dp", "random"), seed=13,
+        ),
     ],
-    ids=["c04", "c05", "c09-39", "c09-24", "small"],
+    ids=["c04", "c05", "c09-39", "c09-24", "small", "dp-random-fail", "gap", "convex"],
 )
-def test_sweep_equals_trial_at_a_time_reference(cfg):
+def test_sweep_equals_trial_at_a_time_reference(cfg, caplog):
     records, failed = reference_sweep(cfg)
-    assert not failed
-    assert run_sweep(cfg) == records
+    with caplog.at_level("WARNING", logger="dpdetect.bench"):
+        assert run_sweep(cfg) == records
+    assert _warned(caplog) == sorted(failed)
+    if cfg.length_hat == 40:
+        assert {r.method: r.failures for r in records} == {"dp": 20, "random": 20, "greedy": 0}
+    else:
+        assert not failed
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 30])
+def test_sweep_records_do_not_depend_on_score_chunk(monkeypatch, chunk_bytes):
+    # One lockstep scoring per block, and one per noise level.
+    cfg = BenchConfig(k=6, sigma2_grid=(0.5, 2.0), seed=999, **PAPER)
+    monkeypatch.setattr(bench_mod, "_SCORE_CHUNK_BYTES", chunk_bytes)
+    assert run_sweep(cfg) == reference_sweep(cfg)[0]
+
+
+def test_sweep_refuses_a_non_finite_measurement(monkeypatch):
+    # What synthesize raises for the trial; not a detector failure.
+    def plant_nan(rows, starts, x):
+        rows[-1, 0] = np.nan
+
+    monkeypatch.setattr(bench_mod, "plant", plant_nan)
+    with pytest.raises(ValidationError, match="measurement contains non-finite values"):
+        run_sweep(SMALL)
 
 
 def test_sweep_failures_equal_reference_when_every_dp_table_is_refused(monkeypatch, caplog):
@@ -371,11 +442,8 @@ def test_sweep_failures_equal_reference_when_every_dp_table_is_refused(monkeypat
     assert {r.method: r.failures for r in records if r.sigma2 == 0.5} == {
         "dp": 37, "greedy": 0, "random": 0,
     }
-    warned = sorted(
-        (int(r.getMessage().split()[1]), r.getMessage().split()[3]) for r in caplog.records
-    )
-    assert warned == sorted(failed)
-    assert len(warned) == 2 * 37
+    assert _warned(caplog) == sorted(failed)
+    assert len(failed) == 2 * 37
 
 
 def _sweep_peak_bytes(cfg):

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,3 +198,18 @@ def test_scaling_bad_grid(tmp_path, capsys):
     assert run(["scaling", "--n-grid", "110", "--trials", 2,
                 "--out", tmp_path / "x.csv"]) == 1
     assert capsys.readouterr().err.startswith("error:validation:")
+
+
+def test_cli_import_loads_neither_numpy_random_nor_fft():
+    # Every CLI call and the benchmark's setup time pay the import; the
+    # generator and the FFT load on first use instead.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import dpdetect.cli; "
+        "print(sorted(m for m in ('numpy.random', 'numpy.fft') if m in sys.modules))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

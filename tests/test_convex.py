@@ -163,6 +163,11 @@ def test_detected_placements_always_valid():
 def test_bad_delta_rejected():
     with pytest.raises(ValidationError):
         denoise(np.ones(20), rect_template(4), ConvexConfig(sigma2=0.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            ConvexConfig(sigma2=bad)
+        with pytest.raises(ValidationError, match="finite"):
+            ConvexConfig(delta_override=bad)
 
 
 def test_budget_below_box_minimum_is_infeasible():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpdetect import PlacementSet, match_detections, score
+from dpdetect.metrics import match_rows, score_rows
 
 
 def exhaustive_tp(truth, est, length):
@@ -118,3 +119,45 @@ def test_greedy_matching_is_optimal_for_separated_truths():
         est = PlacementSet(est_starts, length)
         tp, _, _ = match_detections(truth, est, length)
         assert tp == exhaustive_tp(truth_starts, est_starts, length)
+
+
+def _padded(rows, width):
+    """Rows as a (R, width) block: ascending starts after -1 padding."""
+    block = np.full((len(rows), width), -1, dtype=np.int64)
+    for r, starts in enumerate(rows):
+        block[r, width - len(starts) :] = starts
+    return block
+
+
+def test_block_matching_equals_per_row_and_brute_force():
+    # Unseparated estimates in a short range (two may sit within L/2 of one
+    # truth), empty rows, and rows padded to a wider block than they fill.
+    rng = np.random.default_rng(73)
+    for _ in range(40):
+        length = int(rng.integers(2, 14))
+        n_rows = int(rng.integers(1, 30))
+        k_t, k_e = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+        truths, ests = [], []
+        for _ in range(n_rows):
+            truths.append(np.sort(rng.choice(40, size=int(rng.integers(0, k_t + 1)), replace=False)))
+            ests.append(np.sort(rng.choice(40, size=int(rng.integers(0, k_e + 1)), replace=False)))
+        width_t, width_e = k_t + int(rng.integers(0, 3)), k_e + int(rng.integers(0, 3))
+        tp = match_rows(_padded(truths, width_t), _padded(ests, width_e), length)
+        stats = score_rows(_padded(truths, width_t), _padded(ests, width_e), length, 3)
+        assert tp.shape == (n_rows,) and stats.shape == (n_rows, 4)
+        for r, (t, e) in enumerate(zip(truths, ests)):
+            truth, est = PlacementSet(t, length), PlacementSet(e, length)
+            assert tp[r] == match_detections(truth, est, length)[0]
+            assert tp[r] == exhaustive_tp(t, e, length)
+            rep = score(truth, est, length, 3)
+            assert stats[r].tolist() == [rep.f1, rep.recall, rep.precision, rep.k_err]
+
+
+def test_block_matching_all_padding_and_zero_width_rows():
+    truth = _padded([[3, 40], [], [7]], 2)
+    est = _padded([[], [5], [8]], 1)
+    assert match_rows(truth, est, 10).tolist() == [0, 0, 1]
+    assert match_rows(np.zeros((2, 0), dtype=np.int64), _padded([[1], []], 1), 10).tolist() == [0, 0]
+    stats = score_rows(truth, est, 10, 2)
+    assert stats[0].tolist() == [0.0, 0.0, 0.0, 1.0]  # 0/0 precision, nothing found
+    assert stats[1].tolist() == [0.0, 0.0, 0.0, 0.5]  # no truth, one false positive

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,42 @@ def test_sample_density_precheck():
     cfg = SynthConfig(n_samples=100, length=30, k=4, sigma2=0.0)  # 4*30 > 100
     with pytest.raises(InfeasibleError):
         sample_placements(cfg, np.random.default_rng(0))
+
+
+def test_well_separated_fits_at_the_bound():
+    # (k-1) * 2L + L = 50: only {0, 20, 40} fits, and k * 2L = 60 > N.
+    cfg = SynthConfig(n_samples=50, length=10, k=3, sigma2=0.0, separation="well_separated")
+    for seed in range(5):
+        assert sample_placements(cfg, np.random.default_rng(seed)).starts.tolist() == [0, 20, 40]
+
+
+def _fits(n, length, k, gap):
+    """Some k starts in [0, n - length] lie at least gap apart (brute force)."""
+    starts = range(n - length + 1)
+    return any(
+        all(b - a >= gap for a, b in zip(c, c[1:]))
+        for c in itertools.combinations(starts, k)
+    )
+
+
+def test_feasibility_precheck_matches_brute_force():
+    for n, length, k, separation in itertools.product(
+        range(1, 15), range(1, 5), range(1, 5), ("arbitrary", "well_separated")
+    ):
+        if length > n:
+            continue
+        cfg = SynthConfig(
+            n_samples=n, length=length, k=k, sigma2=0.0, separation=separation
+        )
+        rng = np.random.default_rng(n)
+        if _fits(n, length, k, cfg.min_gap):
+            p = sample_placements(cfg, rng)
+            assert len(p) == k
+            assert validate_placements(p, n, length, separation == "well_separated")
+        else:
+            with pytest.raises(InfeasibleError, match="cannot fit"):
+                sample_placements(cfg, rng)
+            assert rng.random() == np.random.default_rng(n).random()  # drew nothing
 
 
 def test_sample_attempt_cap():
@@ -147,6 +185,9 @@ def test_config_validation():
         SynthConfig(n_samples=50, length=10, k=0, sigma2=0.0)
     with pytest.raises(ValidationError):
         SynthConfig(n_samples=50, length=10, k=1, sigma2=-1.0)
+    for sigma2 in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            SynthConfig(n_samples=50, length=10, k=1, sigma2=sigma2)
     with pytest.raises(ValidationError):
         SynthConfig(n_samples=50, length=10, k=1, sigma2=0.0, separation="diagonal")
 

@@ -151,6 +151,24 @@ def test_overflowing_scores_rejected(method):
         np.testing.assert_array_equal(correlation_scores(y, np.ones(2), method=method), 0.0)
 
 
+@pytest.mark.parametrize("method", ["auto", "direct", "fft"])
+def test_rows_equal_per_row_scores_bit_for_bit(method):
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        n_rows = int(rng.integers(1, 20))
+        n = int(rng.integers(2, 1500))
+        length = int(rng.integers(1, min(n, 80) + 1))
+        ys = rng.standard_normal((n_rows, n))
+        x = rng.standard_normal(length)
+        block = xcorr_mod.correlation_rows(ys, x, method)
+        assert block.shape == (n_rows, n - length + 1)
+        for y, row in zip(ys, block):
+            assert np.array_equal(row, correlation_scores(y, x, method))
+    with pytest.raises(ValidationError, match="overflow float64 at 46 of 92 starts"):
+        with np.errstate(over="ignore", invalid="ignore"):  # the FFT's own overflow
+            xcorr_mod.correlation_rows([np.ones(50), [1e308] * 50], np.ones(5), method)
+
+
 def test_template_longer_than_measurement_rejected():
     with pytest.raises(ValidationError):
         correlation_scores_direct([1.0, 2.0], [1.0, 2.0, 3.0])
