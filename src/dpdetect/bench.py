@@ -111,6 +111,11 @@ class BenchConfig:
             raise ValidationError(f"unknown separation {self.separation!r}")
         if self.length_hat is not None and self.length_hat < 1:
             raise ValidationError("length_hat must be >= 1")
+        if self.length_hat is not None and self.length_hat > self.n_samples:
+            raise ValidationError(
+                f"length_hat {self.length_hat} exceeds n_samples {self.n_samples}: "
+                "no detector template fits in a measurement"
+            )
         if self.k_mode not in K_MODES:
             raise ValidationError(f"unknown k_mode {self.k_mode!r}")
         if (

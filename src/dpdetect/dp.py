@@ -16,22 +16,32 @@ exact optimum for every occurrence count up to ``k_max``.
 There is one fill kernel, :func:`fill_rows`, over a ``(T, M)`` block of
 score rows; :func:`dp_solve` is its ``T = 1`` case and a benchmark sweep
 hands it a block of trials. The fill streams over occurrence counts.
-Count ``j`` reads only row ``j-1``, so two float64 rows of length ``M+1``
+Count ``j`` reads only row ``j-1``, so two float64 rows of ``M+1`` cells
 per score row are kept and swapped per count: row ``j-1`` shifted by ``L``
-and added to the scores, then closed with a running maximum along each
-row, gives row ``j`` in O(T·M) contiguous numpy work. One choice bit per
-cell records whether the "place" branch won strictly; ties prefer the
-"skip" branch, which keeps the backtracked solution deterministic (among
-optima, the earliest improving position is kept at every level). Each
-count's choice rows are packed eight cells to a byte and kept, together
-with each row's last cell, the optimum ``best[M][j]``. The one backtrack,
-:func:`backtrack_rows`, reads one packed row per placement, backwards
-from each row's current position, for all rows at once.
+and added to the scores gives each cell's place value, and a running
+maximum over the cells closes row ``j``. Short rows and small blocks take
+that maximum along contiguous rows, one serial ``fmax.accumulate`` per
+count. Long rows are folded into chunks of ``B >= L`` cells, cell
+``c*B + i`` stored at ``[i, c]`` of a ``(B, nb)`` array, so that one numpy
+call advances every chunk by one cell: the best value before each chunk
+is carried into its first cell (a reduce over the chunk, then a running
+maximum over the ``nb`` chunks), and ``B - 1`` vectorized ``fmax`` calls
+close all chunks at once. Both paths make the same adds and take exact
+maxima, so they agree bit for bit. One choice bit per cell records
+whether the "place" branch won strictly; ties prefer the "skip" branch,
+which keeps the backtracked solution deterministic (among optima, the
+earliest improving position is kept at every level). Each count's choice
+rows are packed eight cells to a byte, in natural cell order on either
+path, and kept, together with each row's last cell, the optimum
+``best[M][j]``. The one backtrack, :func:`backtrack_rows`, reads one
+packed row per placement, backwards from each row's current position,
+for all rows at once.
 
-Per cell the table takes one bit; on top come the two float rows, the
-scores and the final row (see :func:`table_bytes`). :func:`dp_solve`
-refuses, before computing any score, a table larger than
-:data:`TABLE_BYTES_LIMIT`, a quarter of physical memory.
+Per cell the table takes one bit; on top come the scores, the final row
+and the fill's working arrays, under 27 bytes per cell (see
+:func:`table_bytes`). :func:`dp_solve` refuses, before computing any
+score, a table larger than :data:`TABLE_BYTES_LIMIT`, a quarter of
+physical memory.
 
 When only the final row is needed, for many score vectors at once,
 :func:`dp_final_rows` runs the same recurrence position-major over a block
@@ -41,6 +51,7 @@ bits.
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass
 from itertools import cycle
@@ -65,6 +76,20 @@ __all__ = [
     "dp_detect",
     "dp_objective_column",
 ]
+
+log = logging.getLogger(__name__)
+
+# fill_rows folds a block into chunks when its rows make at least this many
+# chunk columns in all. A folded count makes about B + 12 numpy calls
+# (B = L rounded up to a multiple of 8) where the row path makes five, and
+# on narrow folds those calls cost more than the serial running maximum
+# they replace. Folded over row-path fill time, best of 9 calls, one
+# process, 2-core Xeon, numpy 2.4, for L = 1, 8, 20, 64 and T = 1, 4, 15
+# at K = 4-16: 0.96-1.65 at 256 columns, 0.74-1.18 at 512, 0.63-1.07 at
+# 768, 0.64-0.88 at 1024, 0.63-0.82 at 1536; 0.61 at N = 2^19, L = 20,
+# K = 96 (21845 columns). table_bytes bounds the padding by this width.
+_FOLD_MIN_WIDTH = 1024
+
 
 def _quarter_of_physical_memory() -> int | None:
     try:
@@ -104,12 +129,18 @@ class DpTable:
 def table_bytes(n_pos: int, k_max: int) -> int:
     """Bytes of a :func:`dp_solve` table for ``M = n_pos`` and ``k_max``.
 
-    The packed choice bits, the two float64 rows, the final row and the
-    float64 scores: what :func:`check_table` holds against
-    :data:`TABLE_BYTES_LIMIT`.
+    The packed choice bits, the final row and the float64 scores, plus what
+    :func:`fill_rows` works in per cell: on either path at most two float64
+    rows, a float64 copy of the scores, a bool row, the packed bytes of one
+    count in two orders and the chunk carries, under 27 bytes in all. The
+    folded path pads the ``M+1`` cells to whole chunks; folding only into
+    at least :data:`_FOLD_MIN_WIDTH` chunks keeps the padding below one
+    cell per ``_FOLD_MIN_WIDTH - 1``. This is what :func:`check_table`
+    holds against :data:`TABLE_BYTES_LIMIT`.
     """
     bits = (k_max + 1) * ((n_pos + 8) // 8)
-    return bits + 8 * (2 * (n_pos + 1) + (k_max + 1) + n_pos)
+    cells = n_pos + 1 + (n_pos + 1) // (_FOLD_MIN_WIDTH - 1)
+    return bits + 8 * (k_max + 1 + n_pos) + 27 * cells
 
 
 def check_table(n_samples: int, length: int, k_max: int) -> int:
@@ -142,12 +173,40 @@ def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     ``best[M][0..k_max]`` and ``choice`` a ``(k_max+1, T, (M+8)//8)`` uint8
     array whose ``[:, t]`` slice is row ``t``'s packed choice bits, in the
     :class:`DpTable` layout. Each count does, for all ``T`` rows at once,
-    the same adds, running maximum and strict comparison as a single row,
-    so every row equals its own one-row fill bit for bit.
+    the same adds and strict comparisons as a single row, and takes exact
+    maxima, so every row equals its own one-row fill bit for bit.
+
+    Two paths fill the same cells. Short rows and small blocks run each
+    count's running maximum along contiguous rows, one serial
+    ``fmax.accumulate``. A block whose rows fold into at least
+    :data:`_FOLD_MIN_WIDTH` chunks in all runs the folded path
+    (:func:`_fill_folded`), which moves every chunk forward one cell per
+    numpy call. The ``dpdetect.dp`` logger reports the path, the chunk
+    size and count and the bytes the fill works in at debug level.
     """
     n_rows, n_pos = scores.shape
     final = np.zeros((n_rows, k_max + 1))
     packed = np.zeros((k_max + 1, n_rows, (n_pos + 8) // 8), dtype=np.uint8)
+    # Chunks of B >= L cells, B a multiple of 8 so that each chunk's choice
+    # bits fill whole bytes.
+    height = -(-length // 8) * 8
+    columns = -(-(n_pos + 1) // height)
+    if n_rows * columns >= _FOLD_MIN_WIDTH:
+        path, work = "chunks", _fill_folded(scores, length, height, columns, final, packed)
+    else:
+        path, work = "rows", _fill_contiguous(scores, length, final, packed)
+        height, columns = n_pos + 1, 1  # one chunk per row
+    log.debug(
+        "dp fill %s: T=%d, M=%d, k_max=%d, chunks of B=%d cells, nb=%d per row, "
+        "%d working bytes",
+        path, n_rows, n_pos, k_max, height, columns, work + final.nbytes + packed.nbytes,
+    )
+    return final, packed
+
+
+def _fill_contiguous(scores, length: int, final: np.ndarray, packed: np.ndarray) -> int:
+    """The row path of :func:`fill_rows`; returns the bytes of its rows."""
+    n_rows, n_pos = scores.shape
     prev = np.zeros((n_rows, n_pos + 1))  # rows of count 0
     cur = np.empty((n_rows, n_pos + 1))
     placed = np.zeros((n_rows, n_pos + 1), dtype=bool)  # bit 0: the empty prefix places nothing
@@ -155,7 +214,7 @@ def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     # A placement at start n-1 continues from row max(n-L, 0) of the
     # previous count: the first `lag` starts all continue from row 0.
     lag = min(length, n_pos)
-    for j in range(1, k_max + 1):
+    for j in range(1, final.shape[1]):
         cur[:, 0] = -np.inf
         np.add(prev[:, :1], scores[:, :lag], out=cur[:, 1 : lag + 1])
         np.add(prev[:, 1 : n_pos - lag + 1], scores[:, lag:], out=cur[:, lag + 1 :])
@@ -170,7 +229,80 @@ def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
         packed[j] = np.packbits(placed, axis=1)
         final[:, j] = cur[:, n_pos]
         prev, cur = cur, prev
-    return final, packed
+    return prev.nbytes + cur.nbytes + placed.nbytes
+
+
+# Big-endian bit weights: packbits puts the first cell in the top bit.
+_BIT_WEIGHTS = (1 << np.arange(7, -1, -1)).astype(np.uint8)
+
+
+def _fill_folded(
+    scores, length: int, height: int, columns: int, final: np.ndarray, packed: np.ndarray
+) -> int:
+    """The folded path of :func:`fill_rows`; returns the bytes of its arrays.
+
+    Cell ``n = c*B + i`` of score row ``t`` sits at ``[i, t, c]`` of a
+    ``(B, T, nb)`` array, ``B = height`` and ``nb = columns``; cells past
+    ``M`` pad the last column. Since ``B >= L``, a placement at cell ``n``
+    continues from ``[i-L, t, c]`` when ``i >= L`` and from
+    ``[i-L+B, t, c-1]`` otherwise: two flat adds at fixed offsets, after
+    which column 0, whose cells continue from cell 0, is redone. The
+    running maximum carries first: each chunk's best place value (one
+    reduce over the ``B`` chunk rows), accumulated over the ``nb`` chunks,
+    goes into the first cell of the next chunk, and ``B - 1`` calls of
+    ``fmax`` then close every chunk at once. The choice bits are the same
+    strict comparisons; each column's ``B`` bits pack into ``B/8`` bytes,
+    which are copied back to natural order.
+    """
+    n_rows, n_pos = scores.shape
+    width = n_rows * columns  # cells in one chunk row
+    padded = np.zeros((n_rows, columns * height))
+    padded[:, 1 : n_pos + 1] = scores  # cell n places at start n-1
+    by_cell = padded.reshape(n_rows, columns, height)
+    folded = np.empty((height, n_rows, columns))
+    # The transposing copy runs in tiles of 512 columns, which stay in
+    # cache: at B = 64 and 8190 columns it takes a third of one whole copy.
+    for c in range(0, columns, 512):
+        folded[:, :, c : c + 512] = by_cell[:, c : c + 512].transpose(2, 0, 1)
+    del padded, by_cell
+    prev = np.zeros_like(folded)  # count 0
+    cur = np.empty_like(folded)
+    prev_rows, cur_rows = list(prev.reshape(height, width)), list(cur.reshape(height, width))
+    placed = np.zeros(folded.shape, dtype=bool)  # bit 0: the empty prefix places nothing
+    chunk_bytes = np.empty((height // 8, width), dtype=np.uint8)
+    natural = np.empty((n_rows, columns, height // 8), dtype=np.uint8)
+    carry = np.empty((n_rows, columns))
+    # Views: eight chunk rows per byte row, the bytes by column, a row's bytes.
+    byte_rows = placed.view(np.uint8).reshape(height // 8, 8, width)
+    by_column = chunk_bytes.reshape(height // 8, n_rows, columns).transpose(1, 2, 0)
+    natural_rows = natural.reshape(n_rows, -1)[:, : packed.shape[2]]
+
+    flat_scores = folded.reshape(-1)
+    up = length * width  # cells i >= L read this many flat cells back
+    wrap = (height - length) * width - 1  # cells i < L this many ahead
+    last_cells = n_pos + 1 - (columns - 1) * height  # cells of the last column up to M
+    for j in range(1, final.shape[1]):
+        flat_prev, flat_cur = prev.reshape(-1), cur.reshape(-1)
+        np.add(flat_prev[: folded.size - up], flat_scores[up:], out=flat_cur[up:])
+        np.add(flat_prev[1 + wrap : up + wrap], flat_scores[1:up], out=flat_cur[1:up])
+        np.add(prev[0, :, 0], folded[:length, :, 0], out=cur[:length, :, 0])
+        cur[0, :, 0] = -np.inf
+        np.fmax.reduce(cur, axis=0, out=carry)
+        np.fmax.accumulate(carry, axis=1, out=carry)
+        np.fmax(cur[0, :, 1:], carry[:, :-1], out=cur[0, :, 1:])
+        for above, below in zip(cur_rows, cur_rows[1:]):
+            np.fmax(above, below, out=below)
+        # The place branch won cell n strictly iff the running maximum rose.
+        np.greater(cur[1:], cur[:-1], out=placed[1:])
+        np.greater(cur[0, :, 1:], cur[-1, :, :-1], out=placed[0, :, 1:])
+        placed[last_cells:, :, -1] = False  # padding bits stay zero
+        np.einsum("k,bkw->bw", _BIT_WEIGHTS, byte_rows, out=chunk_bytes)
+        natural[...] = by_column
+        packed[j] = natural_rows
+        final[:, j] = cur[n_pos % height, :, n_pos // height]
+        prev, cur = cur, prev
+        prev_rows, cur_rows = cur_rows, prev_rows
+    return sum(a.nbytes for a in (folded, prev, cur, placed, chunk_bytes, natural, carry))
 
 
 def dp_solve(y, x, k_max: int) -> DpTable:

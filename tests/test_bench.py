@@ -273,6 +273,15 @@ def test_bad_config_values():
         BenchConfig(n_samples=100, length=10, k=2, sigma2_grid=(1.0,), k_mode="psychic")
 
 
+def test_length_hat_longer_than_measurement_refused():
+    # Every trial of every method would fail: refuse the config instead.
+    with pytest.raises(ValidationError, match="length_hat 60 exceeds n_samples 50"):
+        BenchConfig(n_samples=50, length=10, k=2, sigma2_grid=(1.0,), length_hat=60)
+    cfg = BenchConfig(n_samples=50, length=10, k=1, sigma2_grid=(1.0,), length_hat=50, trials=2)
+    assert cfg.detector_length == 50
+    assert all(r.failures == 0 for r in run_sweep(cfg))
+
+
 def test_record_equality_is_field_based():
     r = BenchRecord(1.0, "dp", "known", 0.5, 0.5, 0.5, 0.0, 10)
     assert r == BenchRecord(1.0, "dp", "known", 0.5, 0.5, 0.5, 0.0, 10)

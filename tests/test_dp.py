@@ -230,10 +230,13 @@ def test_table_larger_than_limit_fails_before_allocating(monkeypatch):
 
 def test_limit_admits_wide_tables_at_one_bit_per_cell(monkeypatch):
     # M = 1e5, k_max = 3000: 37.5 MB of choice bits, where a float64 and a
-    # bool per cell took 2.70e9 bytes.
+    # bool per cell took 2.70e9 bytes. The fill works in under 27 bytes per
+    # cell, padded by at most one cell in 1023.
     monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 64 << 20)
     assert dp_mod.check_table(100_019, 20, 3000) == 100_000
-    assert dp_mod.table_bytes(100_000, 3000) == 3001 * 12_501 + 8 * (2 * 100_001 + 3001 + 100_000)
+    assert dp_mod.table_bytes(100_000, 3000) == (
+        3001 * 12_501 + 8 * (3001 + 100_000) + 27 * (100_001 + 97)
+    )
 
 
 def test_solve_memory_far_below_full_table():
@@ -345,6 +348,9 @@ def test_block_kernel_matches_per_row_solve_bit_for_bit(monkeypatch, scan_bytes)
                 assert dp_backtrack(table, k).starts.tolist() == expected
 
 
+FORCE_PATH = {"chunks": 1, "rows": 1 << 62}  # _FOLD_MIN_WIDTH that forces each path
+
+
 def _maximum_fill(scores, length, k_max):
     """Final rows and choice bits of fill_rows, closed by np.maximum.accumulate."""
     n_rows, n_pos = scores.shape
@@ -366,9 +372,10 @@ def _maximum_fill(scores, length, k_max):
     return final, packed
 
 
-def test_fill_equals_maximum_accumulate_fill_bit_for_bit():
-    # fill_rows closes each count with np.fmax.accumulate; on input without
-    # NaN it must equal np.maximum.accumulate, -inf scores included.
+def test_fill_equals_maximum_accumulate_fill_bit_for_bit(monkeypatch):
+    # fill_rows takes its running maxima with np.fmax, on either path; on
+    # input without NaN it must equal np.maximum.accumulate, -inf scores
+    # included.
     rng = np.random.default_rng(41)
     for trial in range(300):
         ys, x = _random_block(rng, trial)
@@ -376,10 +383,12 @@ def test_fill_equals_maximum_accumulate_fill_bit_for_bit():
         if trial % 2:
             scores[rng.random(scores.shape) < 0.3] = -np.inf
         k_max = int(rng.integers(0, 7))
-        final, packed = fill_rows(scores, len(x), k_max)
         ref_final, ref_packed = _maximum_fill(scores, len(x), k_max)
-        assert np.array_equal(final, ref_final)
-        assert np.array_equal(packed, ref_packed)
+        for width in FORCE_PATH.values():
+            monkeypatch.setattr(dp_mod, "_FOLD_MIN_WIDTH", width)
+            final, packed = fill_rows(scores, len(x), k_max)
+            assert np.array_equal(final, ref_final)
+            assert np.array_equal(packed, ref_packed)
 
 
 def test_detect_rows_match_per_row_detect():
@@ -410,3 +419,96 @@ def test_detect_rows_refuse_what_detect_refuses(monkeypatch):
     assert len(dp_detect_rows(scores, 10, 10)[0]) == 10  # starts 0, 10, ..., 90
     with pytest.raises(InfeasibleError, match="11 placements of length 10 do not fit in N=100"):
         dp_detect_rows(scores, 10, 11)
+
+
+def _fill_on(path, monkeypatch, caplog, scores, length, k_max):
+    monkeypatch.setattr(dp_mod, "_FOLD_MIN_WIDTH", FORCE_PATH[path])
+    caplog.clear()
+    with caplog.at_level("DEBUG", logger="dpdetect.dp"):
+        final, packed = fill_rows(scores, length, k_max)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [f"dp fill {path}"]
+    return final, packed
+
+
+def _path_case(rng, trial):
+    """Scores of a (T, M) block whose geometry and values stress the fold."""
+    length = [1, 7, 8, 9, 20, 33, 40, 64][trial % 8]
+    height = -(-length // 8) * 8
+    if trial % 5 == 0:
+        n_pos = int(rng.integers(1, height))  # M < B: a single chunk
+    elif trial % 5 == 1:
+        n_pos = height * int(rng.integers(1, 6)) - 1  # M+1 fills whole chunks
+    else:
+        n_pos = int(rng.integers(1, 12 * height))  # mostly a ragged last chunk
+    rows = int(rng.integers(1, 4))
+    kind = trial % 3
+    if kind == 0:  # small integers: tied scores and tied optima
+        return rng.integers(-2, 3, (rows, n_pos)).astype(float), length
+    if kind == 1:  # sparse spikes: long runs without a set bit
+        return (rng.random((rows, n_pos)) < 0.04).astype(float), length
+    return rng.standard_normal((rows, n_pos)), length
+
+
+def test_fill_paths_match_pointer_dp_and_each_other_bit_for_bit(monkeypatch, caplog):
+    rng = np.random.default_rng(42)
+    for trial in range(240):
+        scores, length = _path_case(rng, trial)
+        n_rows, n_pos = scores.shape
+        k_max = int(rng.integers(0, 7))  # k_max = 0 and infeasible counts
+        pointer = [pointer_dp(row, length, k_max) for row in scores]
+        fills = {
+            path: _fill_on(path, monkeypatch, caplog, scores, length, k_max)
+            for path in FORCE_PATH
+        }
+        for final, packed in fills.values():
+            assert final.shape == (n_rows, k_max + 1)
+            assert packed.shape == (k_max + 1, n_rows, (n_pos + 8) // 8)
+            bits = np.unpackbits(packed, axis=2)
+            assert not bits[:, :, n_pos + 1 :].any()  # zero padding bits
+            for t, (best, choice) in enumerate(pointer):
+                assert np.array_equal(final[t], best[-1])
+                assert np.array_equal(bits[:, t, : n_pos + 1].astype(bool), choice.T)
+            for k in range(1, k_max + 1):
+                if np.isfinite(final[:, k]).all():
+                    starts = backtrack_rows(packed, n_pos, length, k)
+                    expected = [pointer_backtrack(choice, length, k) for _, choice in pointer]
+                    assert starts.tolist() == expected
+        (f_rows, p_rows), (f_chunks, p_chunks) = fills["rows"], fills["chunks"]
+        assert np.array_equal(f_rows, f_chunks) and np.array_equal(p_rows, p_chunks)
+
+
+def test_fill_debug_line_names_path_and_geometry(caplog):
+    # 6000 samples fold into 250 chunks of 24 cells, below the cutover;
+    # 2^16 into 2730, above it.
+    x = np.ones(20)
+    with caplog.at_level("DEBUG", logger="dpdetect.dp"):
+        dp_solve(np.ones(6000), x, 3)
+        dp_solve(np.ones(1 << 16), x, 3)
+    lines = [r.getMessage() for r in caplog.records if r.name == "dpdetect.dp"]
+    assert lines[0].startswith(
+        "dp fill rows: T=1, M=5981, k_max=3, chunks of B=5982 cells, nb=1 per row, "
+    )
+    assert lines[1].startswith(
+        "dp fill chunks: T=1, M=65517, k_max=3, chunks of B=24 cells, nb=2730 per row, "
+    )
+    assert len(lines) == 2 and all(line.endswith(" working bytes") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "n_samples, length",
+    [(1 << 16, 20), (1 << 16, 64)],  # the second pads 62 cells onto 1024 chunks
+)
+def test_folded_fill_memory_within_table_bytes(n_samples, length, caplog):
+    rng = np.random.default_rng(43)
+    k_max = 12
+    scores = correlation_scores(rng.standard_normal(n_samples), rng.standard_normal(length))
+    n_pos = scores.size
+    tracemalloc.start()
+    try:
+        with caplog.at_level("DEBUG", logger="dpdetect.dp"):
+            fill_rows(scores[np.newaxis], length, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caplog.records[-1].getMessage().startswith("dp fill chunks")
+    assert peak <= dp_mod.table_bytes(n_pos, k_max)
