@@ -126,28 +126,37 @@ class DpTable:
         return self.best.shape[0] - 1
 
 
-def table_bytes(n_pos: int, k_max: int) -> int:
-    """Bytes of a :func:`dp_solve` table for ``M = n_pos`` and ``k_max``.
+def table_bytes(n_pos: int, k_max: int, rows: int = 1, length: int | None = None) -> int:
+    """Bytes of :func:`fill_rows` on ``rows`` score rows of ``M = n_pos``.
 
     The packed choice bits, the final row and the float64 scores, plus what
     :func:`fill_rows` works in per cell: on either path at most two float64
     rows, a float64 copy of the scores, a bool row, the packed bytes of one
     count in two orders and the chunk carries, under 27 bytes in all. The
-    folded path pads the ``M+1`` cells to whole chunks; folding only into
-    at least :data:`_FOLD_MIN_WIDTH` chunks keeps the padding below one
-    cell per ``_FOLD_MIN_WIDTH - 1``. This is what :func:`check_table`
-    holds against :data:`TABLE_BYTES_LIMIT`.
+    folded path pads each row's ``M+1`` cells to whole chunks of ``B``
+    cells. A single row folds only into at least :data:`_FOLD_MIN_WIDTH`
+    chunks, which keeps its padding below one cell per
+    ``_FOLD_MIN_WIDTH - 1``; a block of rows may fold into few chunks per
+    row, so its padding is counted from the chunk size, and ``length``
+    (the template length that sets ``B``) is needed when ``rows > 1``.
+    This is what :func:`check_table` holds against
+    :data:`TABLE_BYTES_LIMIT`.
     """
     bits = (k_max + 1) * ((n_pos + 8) // 8)
-    cells = n_pos + 1 + (n_pos + 1) // (_FOLD_MIN_WIDTH - 1)
-    return bits + 8 * (k_max + 1 + n_pos) + 27 * cells
+    if rows == 1:
+        cells = n_pos + 1 + (n_pos + 1) // (_FOLD_MIN_WIDTH - 1)
+    else:
+        fold = _fold_shape(rows, n_pos, length)
+        cells = fold[0] * fold[1] if fold else n_pos + 1
+    return rows * (bits + 8 * (k_max + 1 + n_pos) + 27 * cells)
 
 
-def check_table(n_samples: int, length: int, k_max: int) -> int:
-    """Candidate count ``M`` of a table that :func:`dp_solve` may allocate.
+def check_table(n_samples: int, length: int, k_max: int, rows: int = 1) -> int:
+    """Candidate count ``M`` of ``rows`` tables that :func:`fill_rows` may allocate.
 
     Raises :class:`ValidationError` for a negative ``k_max``, a measurement
-    shorter than the template, or a table above :data:`TABLE_BYTES_LIMIT`.
+    shorter than the template, or tables above :data:`TABLE_BYTES_LIMIT`
+    in all.
     """
     if k_max < 0:
         raise ValidationError("k_max must be non-negative")
@@ -156,14 +165,28 @@ def check_table(n_samples: int, length: int, k_max: int) -> int:
             f"measurement shorter than template ({n_samples} < {length})"
         )
     n_pos = n_samples - length + 1
-    needed = table_bytes(n_pos, k_max)
+    needed = table_bytes(n_pos, k_max, rows, length)
     if TABLE_BYTES_LIMIT is not None and needed > TABLE_BYTES_LIMIT:
+        block = f"{rows} DP tables" if rows > 1 else "DP table"
         raise ValidationError(
-            f"DP table for M={n_pos} candidates and k_max={k_max} needs "
+            f"{block} for M={n_pos} candidates and k_max={k_max} needs "
             f"{needed} bytes, above the limit of {TABLE_BYTES_LIMIT} bytes "
             "(a quarter of physical memory)"
         )
     return n_pos
+
+
+def _fold_shape(n_rows: int, n_pos: int, length: int) -> tuple[int, int] | None:
+    """``(B, nb)`` when :func:`fill_rows` folds this block, else None.
+
+    Chunks hold ``B >= L`` cells, ``B`` a multiple of 8 so that each
+    chunk's choice bits fill whole bytes; each row makes ``nb`` of them.
+    The block folds when its rows make at least :data:`_FOLD_MIN_WIDTH`
+    chunks in all.
+    """
+    height = -(-length // 8) * 8
+    columns = -(-(n_pos + 1) // height)
+    return (height, columns) if n_rows * columns >= _FOLD_MIN_WIDTH else None
 
 
 def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,11 +210,9 @@ def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     n_rows, n_pos = scores.shape
     final = np.zeros((n_rows, k_max + 1))
     packed = np.zeros((k_max + 1, n_rows, (n_pos + 8) // 8), dtype=np.uint8)
-    # Chunks of B >= L cells, B a multiple of 8 so that each chunk's choice
-    # bits fill whole bytes.
-    height = -(-length // 8) * 8
-    columns = -(-(n_pos + 1) // height)
-    if n_rows * columns >= _FOLD_MIN_WIDTH:
+    fold = _fold_shape(n_rows, n_pos, length)
+    if fold:
+        height, columns = fold
         path, work = "chunks", _fill_folded(scores, length, height, columns, final, packed)
     else:
         path, work = "rows", _fill_contiguous(scores, length, final, packed)
@@ -475,13 +496,14 @@ def dp_detect_rows(scores, length: int, k: int) -> np.ndarray:
     would for one row: :class:`ValidationError` for ``k < 1`` or a table
     above :data:`TABLE_BYTES_LIMIT` or when some row's optimum overflows
     float64, :class:`InfeasibleError` when ``k`` placements do not fit in
-    ``M`` candidates, which all rows share.
+    ``M`` candidates, which all rows share. The limit holds the whole
+    block's ``T`` tables, and the refusal comes before any allocation.
     """
     if k < 1:
         raise ValidationError("need at least one occurrence to detect")
-    n_pos = scores.shape[1]
+    n_rows, n_pos = scores.shape
     n_samples = n_pos + length - 1
-    check_table(n_samples, length, k)
+    check_table(n_samples, length, k, n_rows)
     final, packed = fill_rows(scores, length, k)
     _check_optima(final[:, k], k, length, n_samples)
     return backtrack_rows(packed, n_pos, length, k)

@@ -107,14 +107,14 @@ def test_gap_mode_runs():
 def test_convex_requires_small_n_by_default():
     with pytest.raises(ValidationError):
         BenchConfig(
-            n_samples=300,
+            n_samples=400,
             length=30,
             k=3,
             sigma2_grid=(1.0,),
             methods=("dp", "convex"),
         )
     cfg = BenchConfig(
-        n_samples=300,
+        n_samples=400,
         length=30,
         k=3,
         sigma2_grid=(1.0,),
@@ -122,6 +122,16 @@ def test_convex_requires_small_n_by_default():
         allow_slow_convex=True,
     )
     assert "convex" in cfg.methods
+
+
+def test_convex_limit_boundary_admits_the_paper_geometry():
+    limit = bench_mod._CONVEX_N_LIMIT
+    assert limit >= 300  # N = 300, L = 30 runs convex by default
+    base = dict(length=30, k=3, sigma2_grid=(1.0,), methods=("dp", "convex"))
+    assert BenchConfig(n_samples=limit, **base).n_samples == limit
+    with pytest.raises(ValidationError, match=f"limited to N <= {limit}"):
+        BenchConfig(n_samples=limit + 1, **base)
+    assert BenchConfig(n_samples=limit + 1, allow_slow_convex=True, **base).n_samples == limit + 1
 
 
 def test_csv_round_trip(tmp_path):

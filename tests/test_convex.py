@@ -270,5 +270,107 @@ def test_denoise_logs_gradient_path_on_each_side_of_cutover(caplog):
             track = denoise(y, x, ConvexConfig(delta_override=1.0))
         assert [r.getMessage() for r in caplog.records] == [
             f"convex {path} gram: N={n}, outer={len(track.trace)}, "
-            f"iters={track.iterations}"
+            f"certified={len(track.trace) - 1}, iters={track.iterations}"
         ]
+
+
+def _draws():
+    """c07's geometry (N=75, L=15, K=3, sigma2 0.5-3) and convex_small's
+    (N=150, L=15, K=6, sigma2 0.5-2, noise energy within the budget)."""
+    from dpdetect import synthesize
+
+    x = rect_template(15)
+    for n, k, grid in ((75, 3, (0.5, 1.0, 2.0, 3.0)), (150, 6, (0.5, 1.0, 2.0))):
+        for sigma2 in grid:
+            cfg = ConvexConfig(sigma2=sigma2)
+            rng = np.random.default_rng([n, int(10 * sigma2)])
+            for draw in range(5):
+                synth = SynthConfig(n_samples=n, length=15, k=k, sigma2=sigma2, seed=draw)
+                y, truth = synthesize(synth, x, rng)
+                noise = y.samples - sum(np.roll(np.pad(x.samples, (0, n - 15)), s) for s in truth.starts)
+                if n == 75 or np.dot(noise, noise) <= cfg.delta(n):
+                    yield y, x, k, cfg
+
+
+def _outcome(y, x, k, cfg):
+    try:
+        result, track = convex_detect_full(y, x, k, cfg)
+    except (InfeasibleError, ConvergenceError) as exc:
+        return type(exc).__name__, None
+    return result.placements.starts.tolist(), track
+
+
+def test_certificate_off_gives_the_same_search(monkeypatch):
+    # A check interval past max_iter never certifies: every step runs to
+    # rel_tol, as the solver did before the certificate.
+    iterations = [0, 0]
+    for y, x, k, cfg in _draws():
+        picks, fast = _outcome(y, x, k, cfg)
+        monkeypatch.setattr(convex_module, "_GAP_CHECK_EVERY", cfg.max_iter + 1)
+        ref_picks, ref = _outcome(y, x, k, cfg)
+        monkeypatch.undo()
+        assert picks == ref_picks
+        if ref is None:
+            continue
+        assert [lam for lam, _ in fast.trace] == [lam for lam, _ in ref.trace]
+        assert fast.lambda_star == ref.lambda_star
+        np.testing.assert_allclose(fast.s, ref.s, rtol=0, atol=5e-5)
+        assert fast.residual_sq == pytest.approx(ref.residual_sq, rel=1e-6)
+        assert fast.iterations <= ref.iterations
+        iterations[0] += fast.iterations
+        iterations[1] += ref.iterations
+    assert iterations[0] < 0.5 * iterations[1]
+
+
+def test_certified_sides_agree_with_long_solves(monkeypatch):
+    fista = convex_module._fista
+    steps = []
+
+    def spy(apply, c, s0, max_iter, rel_tol, band):
+        out = fista(apply, c, s0, max_iter, rel_tol, band)
+        steps.append((apply, c, band, out[3]))
+        return out
+
+    monkeypatch.setattr(convex_module, "_fista", spy)
+    sides = {"hi": 0, "lo": 0}
+    for y, x, k, cfg in _draws():
+        steps.clear()
+        _outcome(y, x, k, cfg)
+        n = y.length
+        for apply, c, band, certificate in steps:
+            if certificate is None:
+                continue
+            side, bound = certificate
+            with monkeypatch.context() as m:
+                m.setattr(convex_module, "_GAP_CHECK_EVERY", 20001)
+                s, _, converged, _ = fista(apply, c, np.zeros(n), 20000, 1e-10, band)
+            assert converged
+            r = y.samples - forward_op(s, x, n)
+            resid_sq = float(np.dot(r, r))
+            if side == "hi":
+                assert bound <= resid_sq * (1 + 1e-9) and resid_sq > band.hi_sq
+            else:
+                assert bound >= resid_sq * (1 - 1e-9) and resid_sq < band.lo_sq
+            sides[side] += 1
+    assert sides["hi"] > 20 and sides["lo"] > 20
+
+
+def test_infeasible_proof_from_a_certified_step(monkeypatch, caplog):
+    # Budget 1 is far below what the box allows for this negative-mean
+    # measurement. With max_iter=20 the one bisection step stops before its
+    # step test; its certified residual bound still proves infeasibility.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(6)
+    y = rng.standard_normal(60) - 2.0
+    cfg = ConvexConfig(delta_override=1.0, max_iter=20, max_outer=1)
+    with caplog.at_level("DEBUG", logger="dpdetect.convex"):
+        with pytest.raises(InfeasibleError, match="below the smallest residual_sq"):
+            denoise(y, x, cfg)
+    assert "outer=1, certified=1, iters=20" in caplog.records[-1].getMessage()
+    # Without the certificate the same unconverged search proves nothing ...
+    monkeypatch.setattr(convex_module, "_GAP_CHECK_EVERY", cfg.max_iter + 1)
+    with pytest.raises(ConvergenceError):
+        denoise(y, x, cfg)
+    # ... and a converged search agrees that the budget is infeasible.
+    with pytest.raises(InfeasibleError):
+        denoise(y, x, ConvexConfig(delta_override=1.0))

@@ -512,3 +512,42 @@ def test_folded_fill_memory_within_table_bytes(n_samples, length, caplog):
         tracemalloc.stop()
     assert caplog.records[-1].getMessage().startswith("dp fill chunks")
     assert peak <= dp_mod.table_bytes(n_pos, k_max)
+
+
+def test_detect_rows_hold_the_whole_block_against_the_limit(monkeypatch):
+    # One table of M = 91, k = 9 fits; the block's three do not, and the
+    # refusal comes before the fill allocates anything.
+    def no_fill(scores, length, k_max):
+        raise AssertionError("fill started for a block over the limit")
+
+    scores = np.ones((3, 91))
+    one, block = dp_mod.table_bytes(91, 9), dp_mod.table_bytes(91, 9, rows=3, length=10)
+    assert block == 3 * one  # the row path pads nothing
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", block - 1)
+    monkeypatch.setattr(dp_mod, "fill_rows", no_fill)
+    with pytest.raises(ValidationError, match=f"3 DP tables .* needs {block} bytes"):
+        dp_detect_rows(scores, 10, 9)
+    monkeypatch.undo()
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", block)
+    assert dp_detect_rows(scores, 10, 9).shape == (3, 9)
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_pos, length, k",
+    # 4 rows of 8192 candidates fold into 342 chunks of 24 cells each; 512
+    # rows of 24 candidates into 2 chunks each, 23 of 48 cells padding.
+    [(4, 8192, 20, 6), (512, 24, 20, 2)],
+)
+def test_folded_block_memory_within_table_bytes(n_rows, n_pos, length, k, caplog):
+    rng = np.random.default_rng(44)
+    scores = rng.standard_normal((n_rows, n_pos))
+    tracemalloc.start()
+    try:
+        with caplog.at_level("DEBUG", logger="dpdetect.dp"):
+            starts = dp_detect_rows(scores, length, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caplog.records[-1].getMessage().startswith(f"dp fill chunks: T={n_rows}")
+    assert starts.shape == (n_rows, k)
+    assert peak <= dp_mod.table_bytes(n_pos, k, rows=n_rows, length=length)
