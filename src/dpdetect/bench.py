@@ -59,14 +59,16 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 K_MODES = ("known", "gap")
-# Largest N a sweep runs convex at without allow_slow_convex: the paper's
-# geometry (N = 300, L = 30). Mean run_sweep convex trial, K = 6, L = N/10,
-# sigma2 0.5-3, 60 trials, best of 2, one BLAS thread, 2-core Xeon: 8.3 ms
-# at N=150, 11.4 at N=200, 22.1-22.8 at N=300, 43.1 at N=360, 45.7 at
-# N=400. Before the duality-gap stop of each bisection step (convex._fista)
-# the same trials took 24.4-33.6, 36.5-45.9 and 80.0-92.4 ms at N=150, 200
-# and 300, when the limit was 200.
-_CONVEX_N_LIMIT = 300
+# Largest N a sweep runs convex at without allow_slow_convex: the N whose
+# trial costs what the paper's geometry (N = 300, L = 30) cost when it set
+# the limit. Mean run_sweep convex trial, K = 6, L = N/10, sigma2 0.5-3, 60
+# trials, best of 2, one BLAS thread, 2-core Xeon, with the free-set polish
+# of each bisection step (convex._polish): 6.5-8.2 ms at N=300, 9.8 at
+# N=400, 16.9-17.4 at N=600 and 21.0-24.2 at N=800. Without it the same
+# trials took 21.7 ms at N=300, when the limit was 300; before the
+# duality-gap stop (convex._certify) they took 80.0-92.4 ms at N=300, when
+# it was 200.
+_CONVEX_N_LIMIT = 800
 
 # Bytes of int64 starts (truth and every method's estimates) that run_sweep
 # holds before it scores them in one lockstep matching. A paper-sweep noise

@@ -26,8 +26,13 @@ with the current residual as the dual point, bounds the distance from the
 iterate's residual to the optimal one (the residual term is 1-strongly
 convex in ``G s``); a step stops as soon as that bound puts the optimal
 residual above ``delta`` or below ``delta*(1-feas_tol)``. A step whose
-optimal residual lies in the band cannot be settled that way, so the
-solution returned from the band is solved exactly as without the check.
+optimal residual lies in the band cannot be settled that way. At the same
+checks the solver then tries to polish the iterate: the entries strictly
+inside the box name the free set, and one linear solve of the optimality
+conditions on that set, with the other entries held at their bounds, gives
+the exact optimum if the set is the optimum's. The polished point is kept
+only if one proximal gradient step moves it by no more than ``rel_tol``,
+the step test FISTA's own iterates must pass; otherwise FISTA runs on.
 
 The circulant (wrap-around) convention differs from the linear synthesis
 model only in the last ``L - 1`` positions; peak picking is restricted to
@@ -84,6 +89,16 @@ _DENSE_GRAM_MAX_N = 360
 # 2316 iterations); 240 draws at N=75, L=15, K=3 took 10.3/9.6/9.5/10.0 vs
 # 26.5 ms.
 _GAP_CHECK_EVERY = 20
+
+# Largest free set _polish solves; its gather and solve cost O(|F|^2) memory
+# and O(|F|^3) time. One attempt, one BLAS thread, 2-core Xeon: 0.24 ms at
+# |F|=128, 1.0 at 256, 5.3 at 512 and 34 at 1024, against 33 us per FFT
+# apply at N=2000 and 115 us at N=8000, so an attempt at 512 costs about 40
+# FISTA iterations at N=8000 and one at 1024 about 260. Accepted free sets:
+# at most 108 at N=2000, L=20, K=60; 443 at N=8000, L=20, K=240, where
+# rejected ones reached 1090 and a cap of 512 (not 384) cut a denoise from
+# 1189 to 520 iterations.
+_POLISH_MAX_FREE = 512
 
 
 @dataclass(frozen=True)
@@ -187,9 +202,10 @@ def _step_operator(spec, n_samples: int):
 
 @dataclass(frozen=True)
 class _Band:
-    """What :func:`_certify` needs besides the iterate: the gradient step,
-    ``G^T y`` and its largest magnitude, ``||y||^2``, the rounding guard
-    ``2 N eps`` and the residual band ``[lo_sq, hi_sq]``."""
+    """What :func:`_certify` and :func:`_polish` need besides the iterate:
+    the gradient step, ``G^T y`` and its largest magnitude, ``||y||^2``, the
+    rounding guard ``2 N eps``, the residual band ``[lo_sq, hi_sq]`` and
+    the first column ``gram`` of the circulant ``G^T G``."""
 
     step: float
     gty: np.ndarray
@@ -198,6 +214,7 @@ class _Band:
     guard: float
     lo_sq: float
     hi_sq: float
+    gram: np.ndarray
 
 
 def _certify(s, a_s, c, band: _Band):
@@ -236,6 +253,46 @@ def _certify(s, a_s, c, band: _Band):
     return None
 
 
+def _polish(s, apply, c, rel_tol, band: _Band):
+    """The exact optimum on the free set of ``s`` if it passes the step test,
+    else None.
+
+    With ``F = {0 < s < 1}`` and ``U = {s == 1}`` (FISTA's iterates are
+    clip outputs, so bound entries are exact), zeroing the gradient
+    ``lam + G^T G p - G^T y`` on ``F`` gives
+    ``H_FF x = c_F / step - H_FU 1`` with ``H = G^T G`` gathered from its
+    circulant first column. The point ``p`` (1 on ``U``, ``x`` on ``F``, 0
+    elsewhere) is returned only if ``x`` lies in the box and
+    ``||clip(A p + c, 0, 1) - p|| <= rel_tol max(1, ||p||)``, the test a
+    FISTA iterate must pass to count as converged. A free set larger than
+    ``_POLISH_MAX_FREE``, a singular ``H_FF`` or an ``x`` outside the box
+    gives None.
+    """
+    free = np.flatnonzero((s > 0.0) & (s < 1.0))
+    if free.size > _POLISH_MAX_FREE:
+        return None
+    upper = np.flatnonzero(s == 1.0)
+    n = s.size
+    rhs = c[free] / band.step - band.gram[(free[:, None] - upper) % n].sum(axis=1)
+    try:
+        x = np.linalg.solve(band.gram[(free[:, None] - free) % n], rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        return None
+    p = np.zeros(n)
+    p[upper] = 1.0
+    p[free] = x
+    moved = np.empty(n)
+    apply(p, moved)
+    moved += c
+    np.clip(moved, 0.0, 1.0, out=moved)
+    moved -= p
+    if math.sqrt(np.dot(moved, moved)) > rel_tol * max(1.0, math.sqrt(np.dot(p, p))):
+        return None
+    return p
+
+
 def _fista(apply, c, s0, max_iter, rel_tol, band: _Band):
     """Accelerated proximal gradient for the penalized box problem.
 
@@ -245,10 +302,13 @@ def _fista(apply, c, s0, max_iter, rel_tol, band: _Band):
     the latest progress. Every ``_GAP_CHECK_EVERY`` iterations one more
     ``apply`` of the iterate feeds :func:`_certify` with the ``band``,
     and the solve stops as soon as the duality gap proves on which side of
-    the band the optimal residual lies. Returns the iterate, the iterations
-    run, whether the step test was met, and the certificate
-    (``(side, bound_sq)``, or None when the solve ran to the step test or
-    to ``max_iter``).
+    the band the optimal residual lies. When it proves neither,
+    :func:`_polish` solves the optimality conditions on the iterate's free
+    set, and a polished point that passes the step test ends the solve as
+    converged; one that fails it is dropped and FISTA runs on. Returns the
+    iterate, the iterations run, whether the step test was met, the
+    certificate (``(side, bound_sq)``, or None when the solve ran to the
+    step test or to ``max_iter``) and whether the iterate was polished.
     """
     s = np.clip(s0, 0.0, 1.0)
     z = s.copy()
@@ -271,13 +331,16 @@ def _fista(apply, c, s0, max_iter, rel_tol, band: _Band):
         s, s_new = s_new, s
         t = t_new
         if math.sqrt(np.dot(d, d)) <= rel_tol * max(1.0, math.sqrt(np.dot(s, s))):
-            return s, it, True, None
+            return s, it, True, None, False
         if it % _GAP_CHECK_EVERY == 0:
             apply(s, w)
             certificate = _certify(s, w, c, band)
             if certificate is not None:
-                return s, it, False, certificate
-    return s, max_iter, False, None
+                return s, it, False, certificate, False
+            polished = _polish(s, apply, c, rel_tol, band)
+            if polished is not None:
+                return polished, it, True, None, True
+    return s, max_iter, False, None, False
 
 
 def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
@@ -287,7 +350,12 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
     bisection stops once it falls within ``[delta*(1-feas_tol), delta]``.
     Each step stops early once its duality gap proves on which side of
     that band the optimal residual lies (see :func:`_fista`); the step in
-    the band runs to ``rel_tol``. A search that runs out of steps first
+    the band runs until an iterate, or the exact solve on an iterate's free
+    set (:func:`_polish`), passes the ``rel_tol`` step test. A polished
+    step counts as converged, for its side and for the infeasibility proof
+    below; a failed polish is dropped and FISTA runs on. The
+    ``dpdetect.convex`` debug line counts the certified and the polished
+    steps. A search that runs out of steps first
     returns its feasible step with the largest penalty, which may be a
     certified-feasible iterate that is not fully converged.
     Raises :class:`InfeasibleError` when no step met the budget, the last
@@ -329,6 +397,7 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
         guard=2.0 * n * np.finfo(float).eps,
         lo_sq=delta * (1.0 - cfg.feas_tol),
         hi_sq=delta,
+        gram=np.fft.irfft(np.abs(spec) ** 2, n),
     )
 
     hi = lam_zero
@@ -336,15 +405,17 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
     warm = np.zeros(n)
     total_iters = 0
     certified = 0
+    polished = 0
     best = None
     trace = []
     for _ in range(cfg.max_outer):
         lam = 0.5 * (lo + hi)
         c = step * (correlation - lam)
-        s, iters, converged, certificate = _fista(
+        s, iters, converged, certificate, was_polished = _fista(
             apply, c, warm, cfg.max_iter, cfg.rel_tol, band
         )
         total_iters += iters
+        polished += was_polished
         resid = yv - np.fft.irfft(np.fft.rfft(s) * spec, n)
         resid_sq = float(np.dot(resid, resid))
         trace.append((lam, resid_sq))
@@ -367,8 +438,8 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
             # inside the budget, so take it as-is.
             break
     log.debug(
-        "convex %s gram: N=%d, outer=%d, certified=%d, iters=%d",
-        path, n, len(trace), certified, total_iters,
+        "convex %s gram: N=%d, outer=%d, certified=%d, polished=%d, iters=%d",
+        path, n, len(trace), certified, polished, total_iters,
     )
     # The penalized optimum s_lam beats the box's least-residual point s_0
     # on lam*||s||_1 + 0.5*r, and ||s_0||_1 <= n, so r(s_0) >= r(s_lam) - 2*lam*n.

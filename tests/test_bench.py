@@ -105,16 +105,17 @@ def test_gap_mode_runs():
 
 
 def test_convex_requires_small_n_by_default():
+    limit = bench_mod._CONVEX_N_LIMIT
     with pytest.raises(ValidationError):
         BenchConfig(
-            n_samples=400,
+            n_samples=limit + 1,
             length=30,
             k=3,
             sigma2_grid=(1.0,),
             methods=("dp", "convex"),
         )
     cfg = BenchConfig(
-        n_samples=400,
+        n_samples=limit + 1,
         length=30,
         k=3,
         sigma2_grid=(1.0,),

@@ -256,7 +256,24 @@ def test_dense_and_fft_gradient_paths_agree(monkeypatch, n):
     assert dense.iterations == fft.iterations
 
 
-def test_denoise_logs_gradient_path_on_each_side_of_cutover(caplog):
+def _spy_fista(monkeypatch):
+    """Record every ``_fista`` return of the searches that follow."""
+    fista = convex_module._fista
+    steps = []
+
+    def spy(*args):
+        steps.append(fista(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(convex_module, "_fista", spy)
+    return steps
+
+
+def _polish_off(monkeypatch):
+    monkeypatch.setattr(convex_module, "_polish", lambda *args: None)
+
+
+def test_denoise_logs_gradient_path_on_each_side_of_cutover(monkeypatch, caplog):
     x = rect_template(10)
     for n, path in (
         (convex_module._DENSE_GRAM_MAX_N, "dense"),
@@ -266,11 +283,16 @@ def test_denoise_logs_gradient_path_on_each_side_of_cutover(caplog):
         s_true[[5, 60, 200]] = 1.0
         y = forward_op(s_true, x, n)
         caplog.clear()
+        steps = _spy_fista(monkeypatch)
         with caplog.at_level("DEBUG", logger="dpdetect.convex"):
             track = denoise(y, x, ConvexConfig(delta_override=1.0))
+        monkeypatch.undo()
+        certified = sum(out[3] is not None for out in steps)
+        polished = sum(out[4] for out in steps)
+        assert polished > 0
         assert [r.getMessage() for r in caplog.records] == [
             f"convex {path} gram: N={n}, outer={len(track.trace)}, "
-            f"certified={len(track.trace) - 1}, iters={track.iterations}"
+            f"certified={certified}, polished={polished}, iters={track.iterations}"
         ]
 
 
@@ -332,6 +354,9 @@ def test_certified_sides_agree_with_long_solves(monkeypatch):
         return out
 
     monkeypatch.setattr(convex_module, "_fista", spy)
+    # The polish ends steps the certificate would otherwise settle; with it
+    # off, the certificate is tested alone.
+    _polish_off(monkeypatch)
     sides = {"hi": 0, "lo": 0}
     for y, x, k, cfg in _draws():
         steps.clear()
@@ -343,7 +368,7 @@ def test_certified_sides_agree_with_long_solves(monkeypatch):
             side, bound = certificate
             with monkeypatch.context() as m:
                 m.setattr(convex_module, "_GAP_CHECK_EVERY", 20001)
-                s, _, converged, _ = fista(apply, c, np.zeros(n), 20000, 1e-10, band)
+                s, _, converged, *_ = fista(apply, c, np.zeros(n), 20000, 1e-10, band)
             assert converged
             r = y.samples - forward_op(s, x, n)
             resid_sq = float(np.dot(r, r))
@@ -366,7 +391,7 @@ def test_infeasible_proof_from_a_certified_step(monkeypatch, caplog):
     with caplog.at_level("DEBUG", logger="dpdetect.convex"):
         with pytest.raises(InfeasibleError, match="below the smallest residual_sq"):
             denoise(y, x, cfg)
-    assert "outer=1, certified=1, iters=20" in caplog.records[-1].getMessage()
+    assert "outer=1, certified=1, polished=0, iters=20" in caplog.records[-1].getMessage()
     # Without the certificate the same unconverged search proves nothing ...
     monkeypatch.setattr(convex_module, "_GAP_CHECK_EVERY", cfg.max_iter + 1)
     with pytest.raises(ConvergenceError):
@@ -374,3 +399,172 @@ def test_infeasible_proof_from_a_certified_step(monkeypatch, caplog):
     # ... and a converged search agrees that the budget is infeasible.
     with pytest.raises(InfeasibleError):
         denoise(y, x, ConvexConfig(delta_override=1.0))
+
+
+def test_polish_off_gives_the_same_search(monkeypatch):
+    iterations = [0, 0]
+    for y, x, k, cfg in _draws():
+        picks, fast = _outcome(y, x, k, cfg)
+        _polish_off(monkeypatch)
+        ref_picks, ref = _outcome(y, x, k, cfg)
+        monkeypatch.undo()
+        assert picks == ref_picks
+        if ref is None:
+            continue
+        assert [lam for lam, _ in fast.trace] == [lam for lam, _ in ref.trace]
+        assert fast.lambda_star == ref.lambda_star
+        np.testing.assert_allclose(fast.s, ref.s, rtol=0, atol=5e-5)
+        assert fast.iterations <= ref.iterations
+        iterations[0] += fast.iterations
+        iterations[1] += ref.iterations
+    assert iterations[0] < 0.5 * iterations[1]
+
+
+def _penalized(s, y, x, lam):
+    r = y.samples - forward_op(s, x, y.length)
+    return lam * float(s.sum()) + 0.5 * float(np.dot(r, r))
+
+
+def test_each_accepted_polish_is_the_optimum(monkeypatch):
+    polish = convex_module._polish
+    fista = convex_module._fista
+    accepted = []
+
+    def spy(s, apply, c, rel_tol, band):
+        p = polish(s, apply, c, rel_tol, band)
+        if p is not None:
+            accepted.append((p, apply, c, rel_tol, band))
+        return p
+
+    monkeypatch.setattr(convex_module, "_polish", spy)
+    count = 0
+    for y, x, k, cfg in _draws():
+        accepted.clear()
+        _outcome(y, x, k, cfg)
+        n = y.length
+        for p, apply, c, rel_tol, band in accepted:
+            assert p.min() >= 0.0 and p.max() <= 1.0
+            moved = np.empty(n)
+            apply(p, moved)
+            step = np.clip(moved + c, 0.0, 1.0) - p
+            assert np.linalg.norm(step) <= rel_tol * max(1.0, np.linalg.norm(p))
+            with monkeypatch.context() as m:
+                m.setattr(convex_module, "_GAP_CHECK_EVERY", 20001)
+                s, _, converged, *_ = fista(apply, c, np.zeros(n), 20000, 1e-10, band)
+            assert converged
+            lam = float(np.mean(band.gty - c / band.step))
+            ref = _penalized(s, y, x, lam)
+            assert _penalized(p, y, x, lam) <= ref + 1e-9 * max(1.0, abs(ref))
+            count += 1
+    assert count > 100
+
+
+def _polish_inputs(x, n):
+    """``(apply, band)`` for calling ``_polish`` on template ``x`` alone."""
+    spec = np.fft.rfft(x, n)
+    apply, step, _ = convex_module._step_operator(spec, n)
+    band = convex_module._Band(
+        step=step, gty=np.zeros(n), gty_max=0.0, yy=0.0, guard=0.0,
+        lo_sq=0.0, hi_sq=0.0, gram=np.fft.irfft(np.abs(spec) ** 2, n),
+    )
+    return apply, band
+
+
+def test_polish_falls_back_on_a_singular_or_ill_conditioned_free_set():
+    # A zero template makes G^T G = 0 (singular: LinAlgError). A rect
+    # template of length 10 on N = 60 has spectral zeros, so G^T G is
+    # singular in exact arithmetic and every entry free leaves H_FF = H.
+    n = 60
+    for x in (np.zeros(10), np.ones(10)):
+        apply, band = _polish_inputs(x, n)
+        assert convex_module._polish(np.full(n, 0.5), apply, np.full(n, 0.01), 1e-8, band) is None
+    # A whole search with that template still ends in the box, in budget.
+    y = forward_op(np.eye(n)[[3, 25, 41]].sum(axis=0), np.ones(10), n)
+    y = y + np.random.default_rng(5).standard_normal(n)
+    cfg = ConvexConfig(sigma2=1.0)
+    track = denoise(y, np.ones(10), cfg)
+    assert track.s.min() >= 0.0 and track.s.max() <= 1.0
+    assert track.residual_sq <= cfg.delta(n)
+
+
+def test_polish_refuses_a_solve_just_outside_the_box():
+    # c is built so that the free-set solve on F = {5, 20} gives exactly
+    # x = (0.5, top), and every other entry clips to 0. At top = 1 + 1e-10
+    # one prox-gradient step moves p by 1e-10, inside the step test, so only
+    # the box check keeps p out of the returned solutions.
+    n, free = 40, np.array([5, 20])
+    apply, band = _polish_inputs(np.ones(4), n)
+    h_ff = band.gram[(free[:, None] - free) % n]
+    s = np.zeros(n)
+    s[free] = (0.3, 0.7)
+    for top, kept in ((1.0 - 1e-3, True), (1.0 + 1e-10, False)):
+        c = np.full(n, -10.0)
+        c[free] = band.step * (h_ff @ np.array([0.5, top]))
+        p = convex_module._polish(s, apply, c, 1e-8, band)
+        assert (p is not None) == kept
+        if kept:
+            np.testing.assert_allclose(p[free], (0.5, top), rtol=0, atol=1e-12)
+
+
+def test_free_set_past_the_cap_is_not_polished(monkeypatch):
+    apply, band = _polish_inputs(np.ones(8), 80)
+    monkeypatch.setattr(convex_module, "_POLISH_MAX_FREE", 79)
+    monkeypatch.setattr(np.linalg, "solve", None)  # never reached
+    assert convex_module._polish(np.full(80, 0.5), apply, np.zeros(80), 1e-8, band) is None
+    monkeypatch.undo()
+    # A cap of 0 admits only free sets that are empty; the searches match
+    # the ones with the polish off.
+    for y, x, k, cfg in list(_draws())[:6]:
+        _polish_off(monkeypatch)
+        ref_picks, ref = _outcome(y, x, k, cfg)
+        monkeypatch.undo()
+        monkeypatch.setattr(convex_module, "_POLISH_MAX_FREE", 0)
+        picks, capped = _outcome(y, x, k, cfg)
+        monkeypatch.undo()
+        assert picks == ref_picks
+        assert [lam for lam, _ in capped.trace] == [lam for lam, _ in ref.trace]
+        np.testing.assert_allclose(capped.s, ref.s, rtol=0, atol=5e-5)
+
+
+def test_polish_on_the_fft_path(monkeypatch):
+    from dpdetect import synthesize
+
+    n = convex_module._DENSE_GRAM_MAX_N + 1
+    x = rect_template(n // 10)
+    synth = SynthConfig(n_samples=n, length=x.length, k=6, sigma2=1.0, seed=9)
+    y, _ = synthesize(synth, x, np.random.default_rng(9))
+    cfg = ConvexConfig(sigma2=1.0)
+    steps = _spy_fista(monkeypatch)
+    fast = denoise(y, x, cfg)
+    monkeypatch.undo()
+    _polish_off(monkeypatch)
+    ref = denoise(y, x, cfg)
+    assert sum(out[4] for out in steps) > 0
+    assert [lam for lam, _ in fast.trace] == [lam for lam, _ in ref.trace]
+    assert fast.lambda_star == ref.lambda_star
+    np.testing.assert_allclose(fast.s, ref.s, rtol=0, atol=5e-5)
+    assert fast.iterations < ref.iterations
+
+
+def test_infeasible_proof_from_a_polished_step(monkeypatch):
+    # The box's least residual_sq is about 29.33, and budget 29.27 lies just
+    # below what the 14th penalty (4.4e-4) proves. That step's gap cannot
+    # settle its side before its free set is solved exactly; the polished
+    # optimum's residual proves the budget infeasible.
+    rng = np.random.default_rng(0)
+    x = np.exp(-0.5 * ((np.arange(8) - 4) / 2.0) ** 2)
+    y = rng.standard_normal(60) + 0.3
+    cfg = ConvexConfig(delta_override=29.27, max_outer=14)
+    steps = _spy_fista(monkeypatch)
+    with pytest.raises(InfeasibleError, match="below the smallest residual_sq"):
+        denoise(y, x, cfg)
+    converged, certificate, polished = steps[-1][2:]
+    assert converged and polished and certificate is None
+    # With the polish off, the gap settles that step's side with a bound too
+    # loose to prove anything; more bisection steps prove the same.
+    monkeypatch.undo()
+    _polish_off(monkeypatch)
+    with pytest.raises(ConvergenceError):
+        denoise(y, x, cfg)
+    with pytest.raises(InfeasibleError):
+        denoise(y, x, ConvexConfig(delta_override=29.27))
