@@ -17,9 +17,10 @@ the random baseline's starts), so the seed rule and each trial's stream
 are unchanged. The template copies are planted into the block at once,
 known-count ``dp`` and ``greedy`` run once per block over one score row
 per trial, and the convex baseline and the gap statistic's count estimates
-run per trial on their block row. All trials of a noise level are scored
-in one lockstep matching, or one per :data:`_SCORE_CHUNK_BYTES` of starts
-in a longer one. The records equal those of a trial-at-a-time loop.
+run per trial on their block row. Each block's starts are scored in one
+lockstep matching as soon as its detections are in, and the scores are
+summed in trial order, so the records equal those of a trial-at-a-time
+loop.
 
 Both sweeps (:func:`run_sweep` over noise, :func:`run_length_scaling` over
 the measurement length) yield :class:`BenchRecord` rows, written by
@@ -69,13 +70,6 @@ K_MODES = ("known", "gap")
 # duality-gap stop (convex._certify) they took 80.0-92.4 ms at N=300, when
 # it was 200.
 _CONVEX_N_LIMIT = 800
-
-# Bytes of int64 starts (truth and every method's estimates) that run_sweep
-# holds before it scores them in one lockstep matching. A paper-sweep noise
-# level (200 trials, K = 6, three methods: 37.5 KiB) is scored at once,
-# while a long sweep's memory stays bounded. One call on those 600 rows took
-# about 0.4 ms against 0.24 ms on 45 rows (one block) on a 2-core Xeon.
-_SCORE_CHUNK_BYTES = 64 << 10
 
 
 @dataclass(frozen=True)
@@ -198,17 +192,15 @@ def _detect_block(methods, ys, template, k) -> dict:
     return found
 
 
-def _add_scores(sums, pending, cfg: BenchConfig) -> np.ndarray:
-    """``sums`` plus the scores of the pending blocks' trials, added in trial order.
+def _add_scores(sums, truth, est, cfg: BenchConfig) -> np.ndarray:
+    """``sums`` plus the scores of one block's trials, added in trial order.
 
     ``sums`` is ``(methods, 4)``: F1, recall, precision and ``k_err``.
-    ``pending`` holds ``(truth, est)`` per block: ``(T, k)`` truth starts
-    and ``(methods, T, width)`` estimates, ``-1`` padded. One lockstep
-    matching scores them all; a running sum from ``sums`` adds them as a
+    ``truth`` holds the block's ``(T, k)`` truth starts and ``est`` its
+    ``(methods, T, width)`` estimates, ``-1`` padded. One lockstep matching
+    scores them all; a running sum from ``sums`` adds them as a
     trial-at-a-time loop would.
     """
-    truth = np.concatenate([t for t, _ in pending])
-    est = np.concatenate([e for _, e in pending], axis=1)
     n_methods, n_trials, width = est.shape
     stats = score_rows(
         np.tile(truth, (n_methods, 1)), est.reshape(-1, width), cfg.length, cfg.k
@@ -225,11 +217,10 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
     :func:`~dpdetect.greedy.random_detect`, without its objective). The
     template copies are planted into the block at once, known-``k`` ``dp``
     and ``greedy`` run once per block, and ``convex`` and gap-mode
-    ``dp``/``greedy`` run per trial on their block row. The starts are then
-    scored in one lockstep matching per noise level, or per
-    :data:`_SCORE_CHUNK_BYTES` of starts when a level holds more, and each
-    method's scores are summed in trial order, so the records equal those
-    of a trial-at-a-time loop and do not depend on the block size.
+    ``dp``/``greedy`` run per trial on their block row. Each block's starts
+    are then scored in one lockstep matching, and each method's scores are
+    summed in trial order, so the records equal those of a trial-at-a-time
+    loop and do not depend on the block size.
     """
     true_template = rect_template(cfg.length)
     detector_template = rect_template(cfg.detector_length)
@@ -251,8 +242,6 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
             random_error = exc
     n_pos = max(cfg.n_samples - cfg.detector_length + 1, 1)
     block = block_rows(n_pos)
-    trial_bytes = 8 * (cfg.k + len(methods) * width)
-    score_every = max(1, _SCORE_CHUNK_BYTES // (block * trial_bytes))
     records = []
     for sig_idx, sigma2 in enumerate(cfg.sigma2_grid):
         synth_cfg = SynthConfig(
@@ -266,23 +255,29 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
         convex_cfg = ConvexConfig(sigma2=sigma2) if "convex" in methods else None
         seeds = range(cfg.seed + sig_idx * cfg.trials, cfg.seed + (sig_idx + 1) * cfg.trials)
         sums = np.zeros((len(methods), 4))
-        pending = []
         failures = dict.fromkeys(methods, 0)
         for first in range(0, cfg.trials, block):
             block_seeds = seeds[first : first + block]
             ys = np.empty((len(block_seeds), cfg.n_samples))
-            truth = np.empty((len(block_seeds), cfg.k), dtype=np.int64)
+            truth, drawn = [], {}  # random's starts by block row
             est = np.full((len(methods), len(block_seeds), width), -1, dtype=np.int64)
             failed = {m: {} for m in methods}
             for row, trial_seed in enumerate(block_seeds):
                 rng = np.random.default_rng(trial_seed)
-                truth[row] = sample_starts(synth_cfg, rng)
-                ys[row] = rng.normal(0.0, sd, cfg.n_samples)
+                truth.append(sample_starts(synth_cfg, rng))
+                rng.standard_normal(out=ys[row])
                 if random_cfg is not None:
                     try:
-                        est[methods["random"], row, -cfg.k :] = sample_starts(random_cfg, rng)
+                        drawn[row] = sample_starts(random_cfg, rng)
                     except DetectError as exc:
                         failed["random"][trial_seed] = exc
+            # rng.normal(0.0, sd, N) takes the same draws and returns
+            # 0.0 + sd * z: the same two roundings, bit for bit.
+            ys *= sd
+            ys += 0.0
+            truth = np.array(truth, dtype=np.int64)
+            if drawn:
+                est[methods["random"], list(drawn), -cfg.k :] = list(drawn.values())
             if random_error is not None:
                 failed["random"] = dict.fromkeys(block_seeds, random_error)
             plant(ys, truth, true_template.samples)
@@ -314,16 +309,14 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
                         exc,
                     )
                 failures[method] += len(errors)
-            pending.append((truth, est))
-            if len(pending) == score_every or first + block >= cfg.trials:
-                sums = _add_scores(sums, pending, cfg)
-                pending = []
+            sums = _add_scores(sums, truth, est, cfg)
         log.debug(
-            "sweep cell: sigma2=%g, trials=%d, block=%dx%d, k=%d, failures=%s",
+            "sweep cell: sigma2=%g, trials=%d, block=%dx%d, blocks=%d, k=%d, failures=%s",
             sigma2,
             cfg.trials,
             min(block, cfg.trials),
             n_pos,
+            -(-cfg.trials // block),
             cfg.k,
             failures,
         )

@@ -79,8 +79,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# fill_rows folds a block into chunks when its rows make at least this many
-# chunk columns in all. A folded count makes about B + 12 numpy calls
+# fill_rows folds one score row into chunks when it makes at least this many
+# chunk columns. A folded count makes about B + 12 numpy calls
 # (B = L rounded up to a multiple of 8) where the row path makes five, and
 # on narrow folds those calls cost more than the serial running maximum
 # they replace. Folded over row-path fill time, best of 9 calls, one
@@ -88,6 +88,18 @@ log = logging.getLogger(__name__)
 # at K = 4-16: 0.96-1.65 at 256 columns, 0.74-1.18 at 512, 0.63-1.07 at
 # 768, 0.64-0.88 at 1024, 0.63-0.82 at 1536; 0.61 at N = 2^19, L = 20,
 # K = 96 (21845 columns). table_bytes bounds the padding by this width.
+#
+# A block of two or more rows folds from half this width. Many short rows
+# cost the row path more per cell, so such blocks cross over earlier. The
+# same ratios, best of 9 alternating calls, at run_sweep's blocks (N = 300
+# and L = 39, 30, 24: M = 262, 271, 277 and B = 40, 32, 24; K = 3 and 6):
+# 1.3-2.5 at T = 8-15 (56-180 columns), 0.93-1.43 at T = 30 (210-360),
+# 0.80-1.17 at T = 45 (315-540), 0.63-0.96 at T = 60-100 (420-1200),
+# 0.64-0.99 at T = 114-124 (798-1488). Other blocks from 512 to 1023
+# columns: 0.68-0.77 for 160-512 rows of M = 31-120, 0.63-0.92 at T = 2-30
+# with M = 600-30000 (668-1008 columns), 0.99-1.14 at T = 2 and 4 (518 and
+# 520 columns), and 1.24 for 256 rows of M = 24 (two chunks of 24 cells
+# each, half of them padding).
 _FOLD_MIN_WIDTH = 1024
 
 
@@ -181,12 +193,13 @@ def _fold_shape(n_rows: int, n_pos: int, length: int) -> tuple[int, int] | None:
 
     Chunks hold ``B >= L`` cells, ``B`` a multiple of 8 so that each
     chunk's choice bits fill whole bytes; each row makes ``nb`` of them.
-    The block folds when its rows make at least :data:`_FOLD_MIN_WIDTH`
-    chunks in all.
+    One row folds into at least :data:`_FOLD_MIN_WIDTH` chunks, and a
+    block of rows when they make at least half as many in all.
     """
     height = -(-length // 8) * 8
     columns = -(-(n_pos + 1) // height)
-    return (height, columns) if n_rows * columns >= _FOLD_MIN_WIDTH else None
+    width = _FOLD_MIN_WIDTH if n_rows == 1 else _FOLD_MIN_WIDTH // 2
+    return (height, columns) if n_rows * columns >= width else None
 
 
 def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,8 +214,9 @@ def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 
     Two paths fill the same cells. Short rows and small blocks run each
     count's running maximum along contiguous rows, one serial
-    ``fmax.accumulate``. A block whose rows fold into at least
-    :data:`_FOLD_MIN_WIDTH` chunks in all runs the folded path
+    ``fmax.accumulate``. A row that folds into at least
+    :data:`_FOLD_MIN_WIDTH` chunks, or a block of rows that fold into at
+    least half as many in all (:func:`_fold_shape`), runs the folded path
     (:func:`_fill_folded`), which moves every chunk forward one cell per
     numpy call. The ``dpdetect.dp`` logger reports the path, the chunk
     size and count and the bytes the fill works in at debug level.

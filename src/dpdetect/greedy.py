@@ -26,17 +26,22 @@ __all__ = ["greedy_path", "greedy_detect", "random_detect"]
 
 # Byte budget of one float64 block of score rows, in run_sweep's blocks of
 # trials and in the gap statistic's greedy nulls (see block_rows). The DP
-# fill keeps two such blocks and greedy one padded copy. On a 2-core Xeon
-# with numpy 2.4, 64 KiB (30 rows at M=271) ran the paper_sweep benchmark
-# 5-10% faster but raised its peak RSS by about 0.4 MiB over one trial at a
-# time, against about 0.3 MiB at 32 KiB.
-SCORE_BLOCK_BYTES = 32 << 10
+# fill keeps two such blocks (more when it folds) and greedy one padded
+# copy. Larger blocks spread each kernel's fixed cost over more trials. The
+# paper_sweep benchmark on a 2-core Xeon, numpy 2.4, by budget (rows per
+# block at M=271): item_s_p50 over 20 s runs, seeds 71-74, read
+# 0.114-0.173 s at 128 KiB (60 rows), 0.106-0.126 at 192 KiB (90) and
+# 0.108-0.152 at 256 KiB (120), with peak RSS 39.11-39.18, 39.37-39.47
+# and 39.92-39.97 MiB. tracemalloc peaks of one 200-trial noise level:
+# 0.24 MiB at 32 KiB, 0.46 at 64, 0.75 at 128, 1.12 at 192, 1.46 at 256
+# and 2.43 for the whole level as one block.
+SCORE_BLOCK_BYTES = 192 << 10
 
 
 def block_rows(n_pos: int) -> int:
     """Score rows of ``n_pos`` candidates per block under :data:`SCORE_BLOCK_BYTES`.
 
-    15 at M=271; a long measurement falls to one row per block.
+    90 at M=271; a long measurement falls to one row per block.
     """
     return max(1, SCORE_BLOCK_BYTES // (8 * (n_pos + 1)))
 

@@ -97,9 +97,11 @@ def sample_starts(cfg: SynthConfig, rng: np.random.Generator) -> list[int]:
             f"N={cfg.n_samples} with separation {gap}"
         )
     n_positions = cfg.n_samples - cfg.length + 1
+    integers = rng.integers
     for _ in range(cfg.max_attempts):
-        # Eligible starts as sorted half-open intervals, and their count.
-        free = [(0, n_positions)]
+        # Eligible starts as sorted half-open intervals [los[j], his[j]),
+        # and their count.
+        los, his = [0], [n_positions]
         size = n_positions
         starts = []
         for _ in range(cfg.k):
@@ -107,18 +109,30 @@ def sample_starts(cfg: SynthConfig, rng: np.random.Generator) -> list[int]:
                 break
             # The i-th eligible start: the same draw and stream as
             # rng.choice over the sorted eligible positions.
-            i = int(rng.integers(0, size))
-            for j, (lo, hi) in enumerate(free):
-                if i < hi - lo:
-                    break
-                i -= hi - lo
+            i = int(integers(0, size))
+            j = 0
+            while i >= his[j] - los[j]:
+                i -= his[j] - los[j]
+                j += 1
+            lo, hi = los[j], his[j]
             s = lo + i
             starts.append(s)
             # Block s - gap + 1 .. s + gap - 1. Earlier picks block 2*gap - 1
-            # positions each, so the block reaches no other interval.
-            left, right = max(lo, s - gap + 1), min(hi, s + gap)
-            free[j : j + 1] = [(a, b) for a, b in ((lo, left), (right, hi)) if a < b]
-            size -= right - left
+            # positions each, so the block reaches no other interval: the
+            # hit interval is split, trimmed or deleted in place.
+            left, right = s - gap + 1, s + gap
+            if left > lo:
+                his[j] = left
+                if right < hi:
+                    los.insert(j + 1, right)
+                    his.insert(j + 1, hi)
+                size -= min(hi, right) - left
+            elif right < hi:
+                los[j] = right
+                size -= right - lo
+            else:
+                del los[j], his[j]
+                size -= hi - lo
         else:
             starts.sort()
             return starts

@@ -32,6 +32,7 @@ from dpdetect.bench import (
     run_length_scaling,
     run_sweep,
 )
+from dpdetect.synth import plant, sample_starts
 
 SMALL = BenchConfig(
     n_samples=120,
@@ -397,9 +398,11 @@ PAPER = dict(n_samples=300, length=30, trials=37, methods=("dp", "greedy", "rand
 @pytest.mark.parametrize(
     "cfg",
     [
-        # c04, c05 and the two c09 configs, with fewer trials: 37 trials make
-        # blocks of 15, 15 and 7 at M=271.
-        BenchConfig(k=6, sigma2_grid=(0.5, 2.0), seed=999, **PAPER),
+        # c04, c05 and the two c09 configs, with fewer trials. c04's 130
+        # trials make full blocks and a remainder at 32 KiB and at the
+        # default; at the default its full block folds the DP fill into
+        # chunks and its remainder does not.
+        BenchConfig(k=6, sigma2_grid=(0.5, 2.0), seed=999, **{**PAPER, "trials": 130}),
         BenchConfig(k=3, sigma2_grid=(0.5, 3.0), separation="well_separated", seed=202, **PAPER),
         BenchConfig(k=6, sigma2_grid=(1.0, 2.0), seed=77, length_hat=39, **PAPER),
         BenchConfig(k=6, sigma2_grid=(1.0, 2.0), seed=77, length_hat=24, **PAPER),
@@ -408,7 +411,7 @@ PAPER = dict(n_samples=300, length=30, trials=37, methods=("dp", "greedy", "rand
             methods=("random", "greedy", "dp"), seed=5,
         ),
         # Four placements of length 40 do not fit in N=120: dp and random
-        # fail on every trial, in the same blocks (15 trials each at M=81).
+        # fail on every trial, in whatever blocks the trials run.
         BenchConfig(
             n_samples=120, length=12, k=4, sigma2_grid=(0.5, 2.0), trials=20,
             methods=("dp", "random", "greedy"), length_hat=40, seed=4,
@@ -424,23 +427,77 @@ PAPER = dict(n_samples=300, length=30, trials=37, methods=("dp", "greedy", "rand
     ],
     ids=["c04", "c05", "c09-39", "c09-24", "small", "dp-random-fail", "gap", "convex"],
 )
-def test_sweep_equals_trial_at_a_time_reference(cfg, caplog):
+def test_sweep_equals_trial_at_a_time_reference(cfg, monkeypatch, caplog):
     records, failed = reference_sweep(cfg)
-    with caplog.at_level("WARNING", logger="dpdetect.bench"):
-        assert run_sweep(cfg) == records
-    assert _warned(caplog) == sorted(failed)
+    default = greedy_mod.SCORE_BLOCK_BYTES
+    # One row per block, 32 KiB, the default and a whole noise level per block.
+    for budget in (1, 32 << 10, default, 1 << 30):
+        monkeypatch.setattr(greedy_mod, "SCORE_BLOCK_BYTES", budget)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="dpdetect.bench"), caplog.at_level(
+            "DEBUG", logger="dpdetect.dp"
+        ):
+            assert run_sweep(cfg) == records, f"block budget {budget}"
+        assert _warned(caplog) == sorted(failed)
+        if cfg.trials == 130 and budget == default:
+            fills = [r.getMessage() for r in caplog.records if r.name == "dpdetect.dp"]
+            assert {f.split(":")[0] for f in fills} == {"dp fill rows", "dp fill chunks"}
     if cfg.length_hat == 40:
         assert {r.method: r.failures for r in records} == {"dp": 20, "random": 20, "greedy": 0}
     else:
         assert not failed
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 1 << 30])
-def test_sweep_records_do_not_depend_on_score_chunk(monkeypatch, chunk_bytes):
-    # One lockstep scoring per block, and one per noise level.
-    cfg = BenchConfig(k=6, sigma2_grid=(0.5, 2.0), seed=999, **PAPER)
-    monkeypatch.setattr(bench_mod, "_SCORE_CHUNK_BYTES", chunk_bytes)
-    assert run_sweep(cfg) == reference_sweep(cfg)[0]
+# One sweep trial's whole stream, pinned: the truth starts, the noise row
+# (its first three and last samples), the random baseline's starts and the
+# generator's next draw. A change to any draw or to their order shows here.
+# c04's trial 999 and c05's trial 202, at sigma2 = 2.
+@pytest.mark.parametrize(
+    "overrides, truth, noise, random_starts, next_draw",
+    [
+        (
+            dict(k=6, seed=999),
+            [27, 74, 113, 165, 220, 264],
+            [-0.008811387354385266, 0.7448475034155622, -0.7252382225613488,
+             -1.5562275868608133],
+            [37, 69, 135, 181, 226, 259],
+            0.2591799551817906,
+        ),
+        (
+            dict(k=3, separation="well_separated", seed=202),
+            [50, 165, 244],
+            [-1.535307700479306, -0.5683880634512924, -1.630011832610034,
+             -2.0237123809801623],
+            [81, 120, 256],
+            0.33042984069951786,
+        ),
+    ],
+    ids=["c04", "c05"],
+)
+def test_sweep_trial_stream_pinned(
+    monkeypatch, overrides, truth, noise, random_starts, next_draw
+):
+    cfg = BenchConfig(sigma2_grid=(2.0,), **{**PAPER, "trials": 1}, **overrides)
+    drawn, rows = [], []
+
+    def spy_starts(synth_cfg, rng):
+        starts = sample_starts(synth_cfg, rng)
+        drawn.append((starts, rng))
+        return starts
+
+    def spy_plant(ys, starts, x):
+        rows.append(ys.copy())
+        plant(ys, starts, x)
+
+    monkeypatch.setattr(bench_mod, "sample_starts", spy_starts)
+    monkeypatch.setattr(bench_mod, "plant", spy_plant)
+    run_sweep(cfg)
+    (truth_drawn, rng), (random_drawn, random_rng) = drawn
+    assert random_rng is rng
+    assert truth_drawn == truth
+    assert rows[0][0, [0, 1, 2, -1]].tolist() == noise
+    assert random_drawn == random_starts
+    assert rng.random() == next_draw
 
 
 def test_sweep_refuses_a_non_finite_measurement(monkeypatch):
@@ -476,28 +533,30 @@ def _sweep_peak_bytes(cfg):
 
 
 def test_sweep_cell_memory_bounded_by_block(monkeypatch):
-    # One 200-trial cell at M=271: blocks of 15 trials peak at about a
-    # quarter MiB, the whole cell as one block at about 2 MiB.
+    # One 200-trial cell at M=271: blocks of 90 trials peak at about 1.1
+    # MiB, the whole cell as one block at about 2.4 MiB.
     cfg = BenchConfig(
         n_samples=300, length=30, k=6, sigma2_grid=(1.0,), trials=200,
         methods=("dp", "greedy", "random"), seed=1,
     )
     run_sweep(BenchConfig(**{**cfg.__dict__, "trials": 2}))  # first-call allocations
-    assert _sweep_peak_bytes(cfg) < 1 << 20
+    assert _sweep_peak_bytes(cfg) < 3 << 19
     monkeypatch.setattr(greedy_mod, "SCORE_BLOCK_BYTES", 1 << 30)
-    assert _sweep_peak_bytes(cfg) > 1 << 20
+    assert _sweep_peak_bytes(cfg) > 3 << 19
 
 
-def test_sweep_cell_logged(caplog):
+def test_sweep_cell_logged(monkeypatch, caplog):
     cfg = BenchConfig(
         n_samples=120, length=12, k=4, sigma2_grid=(0.5, 2.0), trials=3,
         methods=("dp", "greedy"), length_hat=40,
     )
+    # Two score rows of M=81 per block: the 3 trials make blocks of 2 and 1.
+    monkeypatch.setattr(greedy_mod, "SCORE_BLOCK_BYTES", 2 * 8 * 82)
     with caplog.at_level(logging.DEBUG, logger="dpdetect.bench"):
         run_sweep(cfg)
     cells = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert cells == [
-        f"sweep cell: sigma2={s2:g}, trials=3, block=3x81, k=4, "
+        f"sweep cell: sigma2={s2:g}, trials=3, block=2x81, blocks=2, k=4, "
         "failures={'dp': 3, 'greedy': 0}"
         for s2 in (0.5, 2.0)
     ]

@@ -218,6 +218,9 @@ def reference_sample(cfg, rng):
         (120, 12, 4, "well_separated"),  # dead ends restart about one draw in six
         (61, 6, 5, "well_separated"),  # most draws restart
         (100, 10, 5, "arbitrary"),
+        # One eligible position: integers(0, 1) takes no draw, and neither
+        # does rng.choice over one candidate.
+        (30, 30, 1, "arbitrary"),
     ],
 )
 def test_sample_placements_match_mask_reference(n, length, k, separation):
