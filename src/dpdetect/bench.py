@@ -548,7 +548,10 @@ def emit_svg(records, path, x: str = "sigma2") -> None:
 
 def load_config(path) -> BenchConfig:
     """Build a sweep config from a JSON object mirroring the field names."""
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected a JSON object")
     for key in ("sigma2_grid", "methods"):

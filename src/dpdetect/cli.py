@@ -40,6 +40,18 @@ def _template_from_args(args):
     raise ValidationError("provide a template via --rect L or --template FILE")
 
 
+def _numbers(text: str, flag: str, kind) -> tuple:
+    """The comma-separated values of ``flag``, each parsed by ``kind``."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(kind(token))
+        except ValueError:
+            message = f"{flag}: cannot parse {token!r} as {kind.__name__}"
+            raise ValidationError(message) from None
+    return tuple(values)
+
+
 def _write_text(text, out):
     """Write to the ``--out`` path, or to stdout without one."""
     if out:
@@ -146,7 +158,7 @@ def _bench_config(args) -> bench_mod.BenchConfig:
         n_samples=args.n,
         length=args.length,
         k=args.k,
-        sigma2_grid=tuple(float(s) for s in args.sigma2_grid.split(",")),
+        sigma2_grid=_numbers(args.sigma2_grid, "--sigma2-grid", float),
         trials=args.trials,
         methods=tuple(args.methods.split(",")),
         separation=_SEP_CHOICES[args.sep],
@@ -174,7 +186,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    n_grid = tuple(int(n) for n in args.n_grid.split(","))
+    n_grid = _numbers(args.n_grid, "--n-grid", int)
     records = bench_mod.run_length_scaling(
         n_grid,
         length=args.length,

@@ -46,7 +46,7 @@ physical memory.
 When only the final row is needed, for many score vectors at once,
 :func:`dp_final_rows` runs the same recurrence position-major over a block
 of columns and keeps only the last ``min(L, M+1)`` rows, with no choice
-bits.
+bits; :func:`final_rows_block` sizes such blocks under the same limit.
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ def _quarter_of_physical_memory() -> int | None:
         return None
 
 
-# Largest table, in bytes, that dp_solve allocates, and the cap on the gap
-# statistic's null block; None (no limit) where the platform does not
-# report physical memory.
+# Largest table, in bytes, that dp_solve allocates, and the cap on a block
+# of dp_final_rows (final_rows_block); None (no limit) where the platform
+# does not report physical memory.
 TABLE_BYTES_LIMIT = _quarter_of_physical_memory()
 
 
@@ -178,14 +178,18 @@ def check_table(n_samples: int, length: int, k_max: int, rows: int = 1) -> int:
         )
     n_pos = n_samples - length + 1
     needed = table_bytes(n_pos, k_max, rows, length)
+    _check_limit(f"{rows} DP tables" if rows > 1 else "DP table", n_pos, k_max, needed)
+    return n_pos
+
+
+def _check_limit(what: str, n_pos: int, k_max: int, needed: int) -> None:
+    """Refuse ``needed`` bytes for ``what`` above :data:`TABLE_BYTES_LIMIT`."""
     if TABLE_BYTES_LIMIT is not None and needed > TABLE_BYTES_LIMIT:
-        block = f"{rows} DP tables" if rows > 1 else "DP table"
         raise ValidationError(
-            f"{block} for M={n_pos} candidates and k_max={k_max} needs "
+            f"{what} for M={n_pos} candidates and k_max={k_max} needs "
             f"{needed} bytes, above the limit of {TABLE_BYTES_LIMIT} bytes "
             "(a quarter of physical memory)"
         )
-    return n_pos
 
 
 def _fold_shape(n_rows: int, n_pos: int, length: int) -> tuple[int, int] | None:
@@ -403,6 +407,22 @@ def dp_final_rows(scores, length: int, k_max: int) -> np.ndarray:
         np.maximum(prev, tmp, out=head)
         prev = head
     return ring[n_pos % slots].T.copy()
+
+
+def final_rows_block(n_pos: int, length: int, k_max: int, columns: int) -> int:
+    """Columns per :func:`dp_final_rows` block: all ``columns``, unless the limit bites.
+
+    A column takes its ``M`` scores, its ``min(L, M+1)`` ring slabs of
+    ``k_max+1`` cells and its share of the scratch slab, all float64; a
+    block holds as many columns as fit in :data:`TABLE_BYTES_LIMIT`.
+    Raises :class:`ValidationError` when one column does not fit.
+    """
+    if TABLE_BYTES_LIMIT is None:
+        return columns
+    slots = min(length, n_pos + 1)
+    column_bytes = 8 * (n_pos + slots * (k_max + 1) + k_max)
+    _check_limit("one final-row column", n_pos, k_max, column_bytes)
+    return min(TABLE_BYTES_LIMIT // column_bytes, columns)
 
 
 # Bytes scanned per step of the backtrack's search for a set bit.

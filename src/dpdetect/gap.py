@@ -8,41 +8,37 @@ permuting destroys the planted structure while preserving the value
 multiset, giving a signal-free null with identical marginals. The
 estimate is the K maximizing the separation between the two curves.
 
-For the dynamic program the whole curve comes from a single table fill
-(the final row already holds the optimum for every K). The data gets one
-:func:`~dpdetect.dp.dp_solve`, whose choice bits the detection backtracks.
-The permutations need only their final rows, so their score vectors are
-stacked as the columns of one block and swept position-major by
-:func:`~dpdetect.dp.dp_final_rows`, which keeps the last ``min(L, M+1)``
-rows and no table; the values equal one ``dp_solve`` per permutation bit
-for bit. All permutations share the block unless their scores and rows
-would pass :data:`dpdetect.dp.TABLE_BYTES_LIMIT`, the limit ``dp_solve``
-enforces; then the block holds as many as fit, and a measurement whose
-single column does not fit is refused before anything is allocated. The
-nulls are computed before the data's table is filled, so the table and
-the block are never alive at the same time. The greedy curve is the
-running sum of pick scores, again from a single pass; the greedy nulls
-stack their score rows into blocks of
-:func:`~dpdetect.greedy.block_rows` rows, each picked by one
-:func:`~dpdetect.greedy.separated_peaks` call.
+The data's curve and the null curves come from one computation. The score
+vectors of the data (row 0) and of each permutation (rows ``1..perms``)
+are stacked into blocks, and each block yields every row's whole curve in
+one pass. For the dynamic program, :func:`~dpdetect.dp.dp_final_rows`
+sweeps the block position-major, keeping the last ``min(L, M+1)`` rows
+of the recurrence and no table; its values equal one ``dp_solve`` per row
+bit for bit. A block holds every row unless the rows would pass
+:data:`dpdetect.dp.TABLE_BYTES_LIMIT`; then it holds as many as
+:func:`~dpdetect.dp.final_rows_block` lets fit, and a measurement whose
+single column does not fit is refused before anything is allocated. For
+greedy, a row's curve is the running sum of its pick scores, blocks hold
+:func:`~dpdetect.greedy.block_rows` rows, and one
+:func:`~dpdetect.greedy.separated_peaks` call picks each block.
+:func:`estimate_k` then detects at the gap-maximizing count with
+:func:`~dpdetect.dp.dp_detect` or :func:`~dpdetect.greedy.greedy_detect`,
+after the blocks are gone; the dp table it fills stops at that count.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from . import dp, greedy
-from .dp import check_table, dp_backtrack, dp_final_rows, dp_objective_column, dp_solve
-from .greedy import separated_peaks
+from .dp import check_table, dp_detect, dp_final_rows, final_rows_block
+from .greedy import block_rows, greedy_detect, separated_peaks
 from .model import (
-    DetectionResult,
     InfeasibleError,
     Measurement,
-    PlacementSet,
-    SignalTemplate,
     ValidationError,
     as_measurement,
     as_template,
@@ -96,8 +92,8 @@ def permute_measurement(y, rng: np.random.Generator) -> Measurement:
     return Measurement(rng.permutation(y.samples))
 
 
-def _greedy_curves(rows, length: int, k_max: int):
-    """Greedy picks and objective curve of each row of a ``(T, M)`` score block.
+def _greedy_curves(rows, length: int, k_max: int) -> np.ndarray:
+    """Greedy objective curve of each row of a ``(T, M)`` score block.
 
     Entry ``j-1`` of a row's curve sums the scores of its first ``j``
     picks; past the last pick of a saturated row it stays at their total.
@@ -105,28 +101,55 @@ def _greedy_curves(rows, length: int, k_max: int):
     picks, _ = separated_peaks(rows, length, k_max)
     gains = np.take_along_axis(rows, np.maximum(picks, 0), axis=1)
     gains[picks < 0] = 0.0
-    return picks, np.cumsum(gains, axis=1)
+    return np.cumsum(gains, axis=1)
+
+
+def _curves(y, x, cfg, detector):
+    """Objective curve of the data (row 0) and of each permutation, in order."""
+    # Independent per-permutation streams; reduction order fixed by index.
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.perms)
+    measurements = chain(
+        [y], (permute_measurement(y, np.random.default_rng(c)) for c in children)
+    )
+    n_rows = cfg.perms + 1
+    curves = np.empty((n_rows, cfg.k_max))
+    # M < 1 is refused by the first correlation_scores call.
+    n_pos = max(y.length - x.length + 1, 0)
+    # Row c of the stack holds measurement c's scores. dp_final_rows sweeps
+    # one score vector per column, so for dp the stack is the transpose of
+    # a C-ordered (M, B) array; separated_peaks picks one per row.
+    if detector == "dp":
+        block = final_rows_block(n_pos, x.length, cfg.k_max, n_rows)
+        stack = np.empty((n_pos, block)).T
+    else:
+        block = min(block_rows(n_pos), n_rows)
+        stack = np.empty((block, n_pos))
+    log.debug(
+        "%s curves: B=%d, blocks=%d, M=%d", detector, block, -(-n_rows // block), n_pos
+    )
+    for lo in range(0, n_rows, block):
+        width = min(block, n_rows - lo)
+        for c in range(width):
+            stack[c] = correlation_scores(next(measurements), x)
+        if detector == "dp":
+            rows = dp_final_rows(stack[:width].T, x.length, cfg.k_max)[:, 1:]
+        else:
+            rows = _greedy_curves(stack[:width], x.length, cfg.k_max)
+        curves[lo : lo + width] = rows
+    return curves
 
 
 def gap_curve(y, x, cfg: GapConfig, detector: str = "dp") -> GapCurve:
-    return _build_curve(as_measurement(y), as_template(x), cfg, detector)[0]
-
-
-def _build_curve(y: Measurement, x: SignalTemplate, cfg: GapConfig, detector: str):
-    """Gap curve plus the data's ``DpTable`` (dp) or its pick list (greedy)."""
+    """Objective, null and gap curves of ``y`` for K in ``1..cfg.k_max``."""
+    y = as_measurement(y)
+    x = as_template(x)
     if detector not in DETECTORS:
         raise ValidationError(f"unknown detector {detector!r}")
     if detector == "dp":
-        # The table's refusals come before any null work.
+        # The table's refusals come before any scoring.
         check_table(y.length, x.length, cfg.k_max)
-    null = _null_curves(y, x, cfg, detector)
-    if detector == "dp":
-        payload = dp_solve(y, x, cfg.k_max)
-        actual = dp_objective_column(payload)[1:]
-    else:
-        scores = correlation_scores(y, x)
-        picks, curves = _greedy_curves(scores[np.newaxis], x.length, cfg.k_max)
-        actual, payload = curves[0], picks[0][picks[0] >= 0].tolist()
+    curves = _curves(y, x, cfg, detector)
+    actual, null = curves[0].copy(), curves[1:]
 
     # Infeasible counts carry the -inf sentinel; keep them out of the moments.
     ok = np.isfinite(null).all(axis=0)
@@ -137,14 +160,14 @@ def _build_curve(y: Measurement, x: SignalTemplate, cfg: GapConfig, detector: st
         null_std[ok] = null[:, ok].std(axis=0)
 
     # Only infeasible counts are -inf; +inf from finite scores is overflow.
-    if any(np.isposinf(a).any() for a in (actual, null, null_mean)):
+    if any(np.isposinf(a).any() for a in (curves, null_mean)):
         raise ValidationError("sums of scores overflow float64 in the gap curve")
     feasible = np.isfinite(actual) & np.isfinite(null_mean)
     if not feasible.any():
         raise InfeasibleError("no feasible occurrence count in 1..k_max")
     gap = np.full(cfg.k_max, np.nan)
     gap[feasible] = actual[feasible] - null_mean[feasible]
-    curve = GapCurve(
+    return GapCurve(
         k=np.arange(1, cfg.k_max + 1),
         actual=actual,
         null_mean=null_mean,
@@ -154,84 +177,18 @@ def _build_curve(y: Measurement, x: SignalTemplate, cfg: GapConfig, detector: st
         k_max=cfg.k_max,
         method=detector,
     )
-    return curve, payload
-
-
-def _null_block_size(n_pos: int, length: int, k_max: int, perms: int) -> int:
-    """Permutations per sweep block: all of them, unless the table limit bites."""
-    limit = dp.TABLE_BYTES_LIMIT
-    if limit is None:
-        return perms
-    slots = min(length, n_pos + 1)
-    column_bytes = 8 * (n_pos + slots * (k_max + 1) + k_max)
-    if column_bytes > limit:
-        raise ValidationError(
-            f"one null column for M={n_pos} candidates and k_max={k_max} needs "
-            f"{column_bytes} bytes, above the limit of {limit} bytes "
-            "(a quarter of physical memory)"
-        )
-    return min(limit // column_bytes, perms)
-
-
-def _null_curves(y, x, cfg, detector):
-    """Objective curve per permutation, one row each, in permutation order."""
-    # Independent per-permutation streams; reduction order fixed by index.
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.perms)
-    permuted = (permute_measurement(y, np.random.default_rng(c)) for c in children)
-    null = np.empty((cfg.perms, cfg.k_max))
-    n_pos = y.length - x.length + 1
-    # Row c of the stack holds permutation c's scores. dp_final_rows sweeps
-    # one score vector per column, so for dp the stack is the transpose of
-    # a C-ordered (M, B) array; separated_peaks picks one per row.
-    if detector == "dp":
-        block = _null_block_size(n_pos, x.length, cfg.k_max, cfg.perms)
-        stack = np.empty((n_pos, block)).T
-    else:
-        block = min(greedy.block_rows(n_pos), cfg.perms)
-        stack = np.empty((block, n_pos))
-    log.debug(
-        "%s null: B=%d, blocks=%d, M=%d", detector, block, -(-cfg.perms // block), n_pos
-    )
-    for lo in range(0, cfg.perms, block):
-        width = min(block, cfg.perms - lo)
-        for c in range(width):
-            stack[c] = correlation_scores(next(permuted), x)
-        if detector == "dp":
-            curves = dp_final_rows(stack[:width].T, x.length, cfg.k_max)[:, 1:]
-        else:
-            _, curves = _greedy_curves(stack[:width], x.length, cfg.k_max)
-        null[lo : lo + width] = curves
-    return null
 
 
 def estimate_k(y, x, cfg: GapConfig, detector: str = "dp"):
     """Gap-maximizing occurrence count plus the detection at that count.
 
-    Ties break toward the smallest K. The detection re-uses the table
-    backtrack (dp) or the pick prefix (greedy); no extra solve is run.
-    Returns ``(k_hat, DetectionResult)``.
+    Ties break toward the smallest K. The detection is ``dp_detect`` or
+    ``greedy_detect`` at that count. Returns ``(k_hat, DetectionResult)``.
     """
     y = as_measurement(y)
     x = as_template(x)
-    curve, payload = _build_curve(y, x, cfg, detector)
+    curve = gap_curve(y, x, cfg, detector)
     ranked = np.where(np.isnan(curve.gap), -np.inf, curve.gap)
     k_hat = int(np.argmax(ranked)) + 1
-
-    if detector == "dp":
-        placements = dp_backtrack(payload, k_hat)
-        result = DetectionResult(
-            placements=placements,
-            objective=float(curve.actual[k_hat - 1]),
-            method="dp",
-            k_hat=k_hat,
-        )
-    else:
-        picks = payload[:k_hat]
-        result = DetectionResult(
-            placements=PlacementSet(sorted(picks), x.length),
-            objective=float(curve.actual[k_hat - 1]),
-            method="greedy",
-            k_hat=len(picks),
-            saturated=len(picks) < k_hat,
-        )
-    return k_hat, result
+    detect = dp_detect if detector == "dp" else greedy_detect
+    return k_hat, detect(y, x, k_hat)

@@ -34,6 +34,9 @@ __all__ = [
 
 SEPARATIONS = ("arbitrary", "well_separated")
 
+# Cap on the configurations sample_starts draws before it gives up.
+MAX_ATTEMPTS = 10000
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -49,7 +52,6 @@ class SynthConfig:
     sigma2: float
     separation: str = "arbitrary"
     seed: int = 0
-    max_attempts: int = 10000
 
     def __post_init__(self):
         if self.length < 1 or self.n_samples < self.length:
@@ -60,8 +62,6 @@ class SynthConfig:
             raise ValidationError("noise variance must be finite and non-negative")
         if self.separation not in SEPARATIONS:
             raise ValidationError(f"unknown separation {self.separation!r}")
-        if self.max_attempts < 1:
-            raise ValidationError("max_attempts must be positive")
 
     @property
     def min_gap(self) -> int:
@@ -81,7 +81,7 @@ def sample_placements(cfg: SynthConfig, rng: np.random.Generator) -> PlacementSe
     A position is eligible when it lies in ``[0, N-L]`` and is at least
     ``min_gap`` away (in start index) from every start already placed. A
     dead end restarts the configuration; the total number of configuration
-    attempts is capped by ``cfg.max_attempts``. Raises
+    attempts is capped by :data:`MAX_ATTEMPTS`. Raises
     :class:`InfeasibleError` when no configuration fits, that is when
     ``(k-1) * min_gap + length > N``, before drawing anything.
     """
@@ -98,7 +98,7 @@ def sample_starts(cfg: SynthConfig, rng: np.random.Generator) -> list[int]:
         )
     n_positions = cfg.n_samples - cfg.length + 1
     integers = rng.integers
-    for _ in range(cfg.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         # Eligible starts as sorted half-open intervals [los[j], his[j]),
         # and their count.
         los, his = [0], [n_positions]
@@ -137,7 +137,7 @@ def sample_starts(cfg: SynthConfig, rng: np.random.Generator) -> list[int]:
             starts.sort()
             return starts
     raise InfeasibleError(
-        f"placement sampling exhausted {cfg.max_attempts} attempts for "
+        f"placement sampling exhausted {MAX_ATTEMPTS} attempts for "
         f"N={cfg.n_samples}, L={cfg.length}, K={cfg.k}, separation {gap}"
     )
 

@@ -200,6 +200,28 @@ def test_scaling_bad_grid(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:validation:")
 
 
+def test_bench_bad_sigma2_token(tmp_path, capsys):
+    assert run(["bench", "--n", 120, "--l", 12, "--k", 4, "--sigma2-grid", "0.5,x",
+                "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error:validation: --sigma2-grid: cannot parse 'x' as float\n"
+
+
+def test_scaling_bad_n_token(tmp_path, capsys):
+    assert run(["scaling", "--n-grid", "100,abc", "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error:validation: --n-grid: cannot parse 'abc' as int\n"
+
+
+def test_bench_config_malformed_json(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_samples": 120,')
+    assert run(["bench", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:validation: {cfg}: not valid JSON")
+    assert err.count("\n") == 1
+
+
 def test_cli_import_loads_neither_numpy_random_nor_fft():
     # Every CLI call and the benchmark's setup time pay the import; the
     # generator and the FFT load on first use instead.

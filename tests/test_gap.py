@@ -102,9 +102,10 @@ def test_all_infeasible_raises():
     # template longer than the measurement.
     with pytest.raises(DetectError):
         gap_curve(np.ones(4), np.ones(5), GapConfig(k_max=3, perms=2, seed=0), "dp")
-    # M < 0: the length check must come before the null block is allocated.
-    with pytest.raises(DetectError):
-        gap_curve(np.ones(2), np.ones(5), GapConfig(k_max=3, perms=2, seed=0), "dp")
+    # M < 0: the length check must come before the curve block is allocated.
+    for detector in ("dp", "greedy"):
+        with pytest.raises(ValidationError, match="shorter than template"):
+            gap_curve(np.ones(2), np.ones(5), GapConfig(k_max=3, perms=2, seed=0), detector)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -148,32 +149,33 @@ def _curves_equal(a, b):
         assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True), field
 
 
-def _reference_null(y, x, gcfg):
-    """Null rows from one dp_solve per permutation, on gap's seed streams."""
+def _reference_curves(y, x, gcfg):
+    """The data's row, then one row per permutation on gap's seed streams,
+    each from its own dp_solve."""
     children = np.random.SeedSequence(gcfg.seed).spawn(gcfg.perms)
+    measurements = [y] + [permute_measurement(y, np.random.default_rng(c)) for c in children]
     return np.array([
-        dp_objective_column(dp_solve(permute_measurement(y, np.random.default_rng(c)), x,
-                                     gcfg.k_max))[1:]
-        for c in children
+        dp_objective_column(dp_solve(m, x, gcfg.k_max))[1:] for m in measurements
     ])
 
 
-def _assert_nulls_match_reference(monkeypatch, y, x, gcfg):
-    """Every null row of gap_curve and estimate_k equals the reference, bit for bit."""
+def _assert_curves_match_reference(monkeypatch, y, x, gcfg):
+    """Every curve row of gap_curve and estimate_k equals the reference, bit for bit."""
     rows = []
-    real = gap_mod._null_curves
+    real = gap_mod._curves
 
     def recording(*args):
         rows.append(real(*args))
         return rows[-1]
 
-    monkeypatch.setattr(gap_mod, "_null_curves", recording)
+    monkeypatch.setattr(gap_mod, "_curves", recording)
     curve = gap_curve(y, x, gcfg, "dp")
     k_hat, result = estimate_k(y, x, gcfg, "dp")
-    ref = _reference_null(y, x, gcfg)
+    ref = _reference_curves(y, x, gcfg)
     assert len(rows) == 2
     for got in rows:
         assert np.array_equal(got, ref)
+    assert np.array_equal(curve.actual, ref[0])
     table = dp_solve(y, x, gcfg.k_max)
     ranked = np.where(np.isnan(curve.gap), -np.inf, curve.gap)
     assert k_hat == int(np.argmax(ranked)) + 1
@@ -195,7 +197,7 @@ def test_null_sweep_matches_per_permutation_bit_for_bit(monkeypatch):
             x = rng.standard_normal(length)
         gcfg = GapConfig(k_max=int(rng.integers(1, 9)), perms=int(rng.integers(1, 12)),
                          seed=trial)
-        _assert_nulls_match_reference(monkeypatch, y, x, gcfg)
+        _assert_curves_match_reference(monkeypatch, y, x, gcfg)
 
 
 def _reference_greedy_curve(y, x, k_max):
@@ -209,14 +211,12 @@ def _reference_greedy_curve(y, x, k_max):
     return curve, picks
 
 
-def _reference_greedy_null(y, x, gcfg):
-    """Null rows from one greedy_path per permutation, on gap's seed streams."""
+def _reference_greedy_curves(y, x, gcfg):
+    """The data's row, then one row per permutation on gap's seed streams,
+    each from its own greedy_path."""
     children = np.random.SeedSequence(gcfg.seed).spawn(gcfg.perms)
-    return np.array([
-        _reference_greedy_curve(permute_measurement(y, np.random.default_rng(c)), x,
-                                gcfg.k_max)[0]
-        for c in children
-    ])
+    measurements = [y] + [permute_measurement(y, np.random.default_rng(c)) for c in children]
+    return np.array([_reference_greedy_curve(m, x, gcfg.k_max)[0] for m in measurements])
 
 
 def test_greedy_null_blocks_match_per_permutation_loop(monkeypatch, caplog):
@@ -232,22 +232,26 @@ def test_greedy_null_blocks_match_per_permutation_loop(monkeypatch, caplog):
             x = SignalTemplate(rng.standard_normal(length))
         gcfg = GapConfig(k_max=int(rng.integers(1, 12)), perms=int(rng.integers(1, 12)),
                          seed=trial)
-        # Blocks of 1 to 5 rows, or all permutations at once.
+        # Blocks of 1 to 5 rows, or the data and all permutations at once.
         rows = int(rng.integers(1, 7))
         n_pos = n - length + 1
         budget = 8 * (n_pos + 1) * rows if rows < 6 else greedy_mod.SCORE_BLOCK_BYTES
         monkeypatch.setattr(greedy_mod, "SCORE_BLOCK_BYTES", budget)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
-            null = gap_mod._null_curves(y, x, gcfg, "greedy")
-        block = min(rows, gcfg.perms) if rows < 6 else gcfg.perms
-        assert f"greedy null: B={block}, blocks={-(-gcfg.perms // block)}," in caplog.text
-        assert np.array_equal(null, _reference_greedy_null(y, x, gcfg))
+            curves = gap_mod._curves(y, x, gcfg, "greedy")
+        n_rows = gcfg.perms + 1
+        block = min(rows, n_rows) if rows < 6 else n_rows
+        assert f"greedy curves: B={block}, blocks={-(-n_rows // block)}," in caplog.text
+        assert np.array_equal(curves, _reference_greedy_curves(y, x, gcfg))
         monkeypatch.undo()
-        curve, picks = gap_mod._build_curve(y, x, gcfg, "greedy")
+        curve = gap_curve(y, x, gcfg, "greedy")
+        k_hat, result = estimate_k(y, x, gcfg, "greedy")
         ref_curve, ref_picks = _reference_greedy_curve(y, x, gcfg.k_max)
         assert np.array_equal(curve.actual, ref_curve)
-        assert picks == ref_picks
+        assert np.array_equal(result.placements.starts, sorted(ref_picks[:k_hat]))
+        assert result.k_hat == len(ref_picks[:k_hat])
+        assert result.saturated == (len(ref_picks) < k_hat)
 
 
 def test_null_block_that_does_not_divide_perms(monkeypatch, caplog):
@@ -255,11 +259,11 @@ def test_null_block_that_does_not_divide_perms(monkeypatch, caplog):
     x = rect_template(10)
     gcfg = GapConfig(k_max=40, perms=50, seed=8)
     default = gap_curve(y, x, gcfg, "dp")
-    # A limit of 1992 * 41 * 9 bytes leaves room for 37 null columns.
+    # A limit of 1992 * 41 * 9 bytes leaves room for 37 of the 51 columns.
     monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 1992 * 41 * 9)
     with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
-        blocked = _assert_nulls_match_reference(monkeypatch, y, x, gcfg)
-    assert "dp null: B=37, blocks=2, M=1991" in caplog.text
+        blocked = _assert_curves_match_reference(monkeypatch, y, x, gcfg)
+    assert "dp curves: B=37, blocks=2, M=1991" in caplog.text
     _curves_equal(default, blocked)
 
 
@@ -272,7 +276,7 @@ def test_null_ring_within_table_bytes_when_template_outlasts_candidates(caplog):
     table_bytes = 12 * (k_max + 1) * 9
     with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
         gap_curve(y, x, GapConfig(k_max=k_max, perms=3, seed=2), "dp")
-    assert "dp null: B=3, blocks=1, M=11" in caplog.text
+    assert "dp curves: B=4, blocks=1, M=11" in caplog.text
     scores = correlation_scores(y, x)[:, None]
     tracemalloc.start()
     try:
@@ -289,19 +293,19 @@ def test_null_column_wider_than_table_still_sweeps(monkeypatch, caplog):
     y = np.random.default_rng(68).standard_normal(10)
     gcfg = GapConfig(k_max=600, perms=2, seed=3)
     with caplog.at_level(logging.DEBUG, logger="dpdetect.gap"):
-        _assert_nulls_match_reference(monkeypatch, y, rect_template(10), gcfg)
-    assert "dp null: B=2, blocks=1, M=1" in caplog.text
+        _assert_curves_match_reference(monkeypatch, y, rect_template(10), gcfg)
+    assert "dp curves: B=3, blocks=1, M=1" in caplog.text
 
 
-def test_wide_estimate_solves_only_the_data(monkeypatch):
-    calls = {"n": 0}
-    real = gap_mod.dp_solve
+def test_only_the_detection_fills_a_table(monkeypatch):
+    calls = []
+    real = dp_mod.fill_rows
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
+    def counting(scores, length, k_max):
+        calls.append((scores.shape, k_max))
+        return real(scores, length, k_max)
 
-    monkeypatch.setattr(gap_mod, "dp_solve", counting)
+    monkeypatch.setattr(dp_mod, "fill_rows", counting)
     cases = [
         (SynthConfig(n_samples=2000, length=10, k=12, sigma2=1.0, seed=63),
          GapConfig(k_max=40, perms=30, seed=9)),
@@ -309,10 +313,12 @@ def test_wide_estimate_solves_only_the_data(monkeypatch):
          GapConfig(k_max=6, perms=9, seed=4)),
     ]
     for cfg, gcfg in cases:
-        calls["n"] = 0
         y, _ = synthesize(cfg, rect_template(10))
-        estimate_k(y, rect_template(10), gcfg, "dp")
-        assert calls["n"] == 1  # the data only; the nulls are swept
+        calls.clear()
+        gap_curve(y, rect_template(10), gcfg, "dp")
+        assert calls == []  # the data and the nulls are swept
+        k_hat, _ = estimate_k(y, rect_template(10), gcfg, "dp")
+        assert calls == [((1, y.length - 9), k_hat)]  # the detection, to k_hat counts
 
 
 def test_over_limit_table_refused_before_any_null_score(monkeypatch):
@@ -326,12 +332,12 @@ def test_over_limit_table_refused_before_any_null_score(monkeypatch):
         estimate_k(y, rect_template(10), GapConfig(k_max=9, perms=5, seed=0), "dp")
     # M = 1, k_max = 600: the 2 x 601-cell table fits, one null column does not.
     monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 2 * 601 * 9)
-    with pytest.raises(ValidationError, match="one null column .* above the limit"):
+    with pytest.raises(ValidationError, match="one final-row column .* above the limit"):
         estimate_k(y[:10], rect_template(10), GapConfig(k_max=600, perms=2, seed=0), "dp")
 
 
 def test_data_table_and_null_block_never_alive_together():
-    # A full table (19992 x 41 cells at 9 bytes) and the null block (19991 x 30
+    # A full table (19992 x 41 cells at 9 bytes) and the curve block (19991 x 31
     # scores plus ring) are each about 5-7 MB; together they would pass 12 MB.
     # The bound keeps that full-table size.
     n, length, k_max, perms = 20000, 10, 40, 30
@@ -356,9 +362,9 @@ def test_null_path_logged(caplog):
         gap_curve(y[:100], rect_template(10), GapConfig(k_max=6, perms=9, seed=1), "greedy")
     messages = [r.getMessage() for r in caplog.records if r.name == "dpdetect.gap"]
     assert messages == [
-        "dp null: B=30, blocks=1, M=1991",
-        "dp null: B=9, blocks=1, M=91",
-        "greedy null: B=9, blocks=1, M=91",
+        "dp curves: B=31, blocks=1, M=1991",
+        "dp curves: B=10, blocks=1, M=91",
+        "greedy curves: B=10, blocks=1, M=91",
     ]
 
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import dpdetect.synth as synth_mod
 from dpdetect import (
     InfeasibleError,
     SynthConfig,
@@ -88,9 +89,10 @@ def test_feasibility_precheck_matches_brute_force():
             assert rng.random() == np.random.default_rng(n).random()  # drew nothing
 
 
-def test_sample_attempt_cap():
+def test_sample_attempt_cap(monkeypatch):
     # Only {0, 5, 10} fits; a dead-ending first draw with a cap of one must fail.
-    cfg = SynthConfig(n_samples=15, length=5, k=3, sigma2=0.0, max_attempts=1, seed=0)
+    monkeypatch.setattr(synth_mod, "MAX_ATTEMPTS", 1)
+    cfg = SynthConfig(n_samples=15, length=5, k=3, sigma2=0.0, seed=0)
     with pytest.raises(InfeasibleError):
         sample_placements(cfg, np.random.default_rng(0))
 
