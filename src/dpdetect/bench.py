@@ -15,12 +15,12 @@ bounded size (:func:`~dpdetect.greedy.block_rows`). Only the generator
 draws stay per trial, in trial order (the truth starts, the noise row and
 the random baseline's starts), so the seed rule and each trial's stream
 are unchanged. The template copies are planted into the block at once,
-known-count ``dp`` and ``greedy`` run once per block over one score row
-per trial, and the convex baseline and the gap statistic's count estimates
-run per trial on their block row. Each block's starts are scored in one
-lockstep matching as soon as its detections are in, and the scores are
-summed in trial order, so the records equal those of a trial-at-a-time
-loop.
+and each method then takes one detection step over the block: known-count
+``dp`` and ``greedy`` run once over one shared score row per trial, and
+the convex baseline and the gap statistic's count estimates run per trial
+on their block row. Each block's starts are scored in one lockstep
+matching as soon as its detections are in, and the scores are summed in
+trial order, so the records equal those of a trial-at-a-time loop.
 
 Both sweeps (:func:`run_sweep` over noise, :func:`run_length_scaling` over
 the measurement length) yield :class:`BenchRecord` rows, written by
@@ -52,7 +52,6 @@ __all__ = [
     "run_sweep",
     "run_length_scaling",
     "emit_csv",
-    "load_records",
     "emit_svg",
     "load_config",
 ]
@@ -130,6 +129,15 @@ class BenchConfig:
                 f"convex method is limited to N <= {_CONVEX_N_LIMIT} by default "
                 "(set allow_slow_convex to override)"
             )
+        # Each of these would fail every trial of the sweep.
+        if self.k < 1:
+            raise ValidationError("k must be >= 1")
+        if not 1 <= self.length <= self.n_samples:
+            raise ValidationError(f"length {self.length} outside 1..n_samples {self.n_samples}")
+        if self.perms < 1:
+            raise ValidationError("perms must be >= 1")
+        if self.k_max is not None and self.k_max < 1:
+            raise ValidationError("k_max must be >= 1")
 
     @property
     def detector_length(self) -> int:
@@ -143,8 +151,7 @@ class BenchRecord:
     ``failures`` counts the trials whose detector raised a
     :class:`DetectError`; those are scored as empty detections.
     ``sigma2`` and ``n_samples`` are the noise variance and measurement
-    length. A record read back from a CSV carries only the swept one; the
-    other is ``None``.
+    length; the writers refuse to sweep over one that is ``None``.
     """
 
     sigma2: float | None
@@ -159,37 +166,41 @@ class BenchRecord:
     n_samples: int | None = None
 
 
-def _detect_one(method, y, template, cfg: BenchConfig, convex_cfg, k_max, trial_seed):
-    """One trial's placements by ``convex`` or by a gap-mode ``dp``/``greedy``."""
-    if method == "convex":
-        return convex_detect(y, template, cfg.k, convex_cfg).placements
-    gap_cfg = GapConfig(k_max=k_max, perms=cfg.perms, seed=trial_seed)
-    _, result = estimate_k(y, template, gap_cfg, detector=method)
-    return result.placements
+def _detect(method, ys, scores, out, cfg: BenchConfig, x, sigma2, k_max, seeds) -> dict:
+    """Write ``method``'s starts for a block of trials into ``out``; return its failures.
 
-
-def _detect_block(methods, ys, template, k) -> dict:
-    """Starts of ``dp`` and ``greedy`` for a ``(T, N)`` block of trials, known ``k``.
-
-    One score row per trial, from :func:`correlation_rows`; each method
-    then runs once over the block and gives a ``(T, k)`` int array, each
-    row ascending after its ``-1`` padding. A method that raises fails
-    every trial of the block: its entry is the error.
+    ``ys`` is the block's ``(T, N)`` measurements and ``out`` the method's
+    ``(T, width)`` starts, ``-1`` padded on the left. Known-count ``dp`` and
+    ``greedy`` run once over ``scores``, the block's score rows (or the
+    error :func:`correlation_rows` raised), and an error fails every row.
+    ``convex`` and gap-mode ``dp``/``greedy`` run per row, the gap statistic
+    seeded by the row's trial seed in ``seeds``. Returns ``{row: DetectError}``.
     """
-    try:
-        scores = correlation_rows(ys, template)
-    except DetectError as exc:
-        return dict.fromkeys(methods, exc)
-    found = {}
-    if "dp" in methods:
+    if method != "convex" and cfg.k_mode == "known":
         try:
-            found["dp"] = dp_detect_rows(scores, template.length, k)
+            if isinstance(scores, DetectError):
+                raise scores
+            if method == "dp":
+                out[:, -cfg.k :] = dp_detect_rows(scores, x.length, cfg.k)
+            else:
+                out[:, -cfg.k :] = np.sort(separated_peaks(scores, x.length, cfg.k)[0], axis=1)
         except DetectError as exc:
-            found["dp"] = exc
-    if "greedy" in methods:
-        picks, _ = separated_peaks(scores, template.length, k)
-        found["greedy"] = np.sort(picks, axis=1)
-    return found
+            return dict.fromkeys(range(len(ys)), exc)
+        return {}
+    failed = {}
+    for row, y in enumerate(ys):
+        try:
+            if method == "convex":
+                found = convex_detect(y, x, cfg.k, ConvexConfig(sigma2=sigma2))
+            else:
+                gap_cfg = GapConfig(k_max=k_max, perms=cfg.perms, seed=seeds[row])
+                found = estimate_k(y, x, gap_cfg, detector=method)[1]
+        except DetectError as exc:
+            failed[row] = exc
+        else:
+            starts = found.placements.starts
+            out[row, out.shape[1] - starts.size :] = starts
+    return failed
 
 
 def _add_scores(sums, truth, est, cfg: BenchConfig) -> np.ndarray:
@@ -215,32 +226,23 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
     trial, in trial order, only the generator draws run: the truth starts,
     the noise row and, for ``random``, its starts (the draws of
     :func:`~dpdetect.greedy.random_detect`, without its objective). The
-    template copies are planted into the block at once, known-``k`` ``dp``
-    and ``greedy`` run once per block, and ``convex`` and gap-mode
-    ``dp``/``greedy`` run per trial on their block row. Each block's starts
-    are then scored in one lockstep matching, and each method's scores are
-    summed in trial order, so the records equal those of a trial-at-a-time
-    loop and do not depend on the block size.
+    template copies are planted into the block at once; then each method
+    in turn writes its starts for the block (:func:`_detect`), and its
+    failures are logged and counted. Each block's starts are scored in one
+    lockstep matching, and each method's scores are summed in trial order,
+    so the records equal those of a trial-at-a-time loop and do not depend
+    on the block size.
     """
     true_template = rect_template(cfg.length)
-    detector_template = rect_template(cfg.detector_length)
-    methods = {m: i for i, m in enumerate(cfg.methods)}
-    blocked = tuple(
-        m for m in cfg.methods if m in ("dp", "greedy") and cfg.k_mode == "known"
-    )
-    per_trial = tuple(m for m in cfg.methods if m not in blocked + ("random",))
-    k_max = cfg.k_max or max(cfg.n_samples // cfg.detector_length, 1)
+    x = rect_template(cfg.detector_length)
+    k_max = cfg.n_samples // x.length if cfg.k_max is None else cfg.k_max
     # Padded width of a method's starts: a gap-mode count can reach k_max.
     width = cfg.k if cfg.k_mode == "known" else max(cfg.k, k_max)
-    random_cfg = random_error = None
-    if "random" in methods:
-        try:  # random_detect's sampler
-            random_cfg = SynthConfig(
-                n_samples=cfg.n_samples, length=cfg.detector_length, k=cfg.k, sigma2=0.0
-            )
-        except ValidationError as exc:
-            random_error = exc
-    n_pos = max(cfg.n_samples - cfg.detector_length + 1, 1)
+    # Known-count dp and greedy share one score row per trial.
+    shared_scores = cfg.k_mode == "known" and not {"dp", "greedy"}.isdisjoint(cfg.methods)
+    # random_detect's sampler
+    random_cfg = SynthConfig(n_samples=cfg.n_samples, length=x.length, k=cfg.k, sigma2=0.0)
+    n_pos = cfg.n_samples - x.length + 1
     block = block_rows(n_pos)
     records = []
     for sig_idx, sigma2 in enumerate(cfg.sigma2_grid):
@@ -252,63 +254,54 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
             separation=cfg.separation,
         )
         sd = np.sqrt(sigma2)
-        convex_cfg = ConvexConfig(sigma2=sigma2) if "convex" in methods else None
         seeds = range(cfg.seed + sig_idx * cfg.trials, cfg.seed + (sig_idx + 1) * cfg.trials)
-        sums = np.zeros((len(methods), 4))
-        failures = dict.fromkeys(methods, 0)
+        sums = np.zeros((len(cfg.methods), 4))
+        failures = dict.fromkeys(cfg.methods, 0)
         for first in range(0, cfg.trials, block):
             block_seeds = seeds[first : first + block]
             ys = np.empty((len(block_seeds), cfg.n_samples))
-            truth, drawn = [], {}  # random's starts by block row
-            est = np.full((len(methods), len(block_seeds), width), -1, dtype=np.int64)
-            failed = {m: {} for m in methods}
+            truth, drawn, random_failed = [], {}, {}  # random's by block row
             for row, trial_seed in enumerate(block_seeds):
                 rng = np.random.default_rng(trial_seed)
                 truth.append(sample_starts(synth_cfg, rng))
                 rng.standard_normal(out=ys[row])
-                if random_cfg is not None:
+                if "random" in cfg.methods:
                     try:
                         drawn[row] = sample_starts(random_cfg, rng)
                     except DetectError as exc:
-                        failed["random"][trial_seed] = exc
+                        random_failed[row] = exc
             # rng.normal(0.0, sd, N) takes the same draws and returns
             # 0.0 + sd * z: the same two roundings, bit for bit.
             ys *= sd
             ys += 0.0
             truth = np.array(truth, dtype=np.int64)
-            if drawn:
-                est[methods["random"], list(drawn), -cfg.k :] = list(drawn.values())
-            if random_error is not None:
-                failed["random"] = dict.fromkeys(block_seeds, random_error)
             plant(ys, truth, true_template.samples)
             if not np.isfinite(ys).all():
                 raise ValidationError("measurement contains non-finite values")
-            for method in per_trial:
-                for row, trial_seed in enumerate(block_seeds):
-                    try:
-                        starts = _detect_one(
-                            method, ys[row], detector_template, cfg, convex_cfg, k_max,
-                            trial_seed,
-                        ).starts
-                        est[methods[method], row, width - starts.size :] = starts
-                    except DetectError as exc:
-                        failed[method][trial_seed] = exc
-            if blocked:
-                found = _detect_block(blocked, ys, detector_template, cfg.k)
-                for method, starts in found.items():
-                    if isinstance(starts, DetectError):
-                        failed[method] = dict.fromkeys(block_seeds, starts)
-                    else:
-                        est[methods[method], :, -cfg.k :] = starts
-            for method, errors in failed.items():
-                for trial_seed, exc in errors.items():
+            scores = None
+            if shared_scores:
+                try:
+                    scores = correlation_rows(ys, x)
+                except DetectError as exc:
+                    scores = exc
+            est = np.full((len(cfg.methods), len(block_seeds), width), -1, dtype=np.int64)
+            for m, method in enumerate(cfg.methods):
+                if method == "random":
+                    failed = random_failed
+                    if drawn:
+                        est[m, list(drawn), -cfg.k :] = list(drawn.values())
+                else:
+                    failed = _detect(
+                        method, ys, scores, est[m], cfg, x, sigma2, k_max, block_seeds
+                    )
+                for row, exc in failed.items():
                     log.warning(
                         "trial %d method %s failed (%s); scoring as empty",
-                        trial_seed,
+                        block_seeds[row],
                         method,
                         exc,
                     )
-                failures[method] += len(errors)
+                failures[method] += len(failed)
             sums = _add_scores(sums, truth, est, cfg)
         log.debug(
             "sweep cell: sigma2=%g, trials=%d, block=%dx%d, blocks=%d, k=%d, failures=%s",
@@ -320,7 +313,7 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
             cfg.k,
             failures,
         )
-        for method, total in zip(methods, sums):
+        for method, total in zip(cfg.methods, sums):
             f1, recall, precision, k_err = total / cfg.trials
             records.append(
                 BenchRecord(
@@ -386,8 +379,6 @@ _X_AXES = {
     "sigma2": ("sigma2", "noise variance"),
     "n_samples": ("N", "measurement length"),
 }
-_CSV_TAIL = ",method,k_mode,f1,recall,precision,k_err,trials"
-_FAILURES_COLUMN = ",failures"
 
 
 def _x_axis(records, x) -> tuple[str, str]:
@@ -411,8 +402,8 @@ def emit_csv(records, path, x: str = "sigma2") -> None:
     """
     column, _ = _x_axis(records, x)
     failed = any(r.failures for r in records)
-    header = column + _CSV_TAIL
-    lines = [header + _FAILURES_COLUMN if failed else header]
+    header = column + ",method,k_mode,f1,recall,precision,k_err,trials"
+    lines = [header + ",failures" if failed else header]
     for r in records:
         # N prints as an integer: ".6g" would turn 1000000 into "1e+06".
         first = format(r.sigma2, ".6g") if x == "sigma2" else str(r.n_samples)
@@ -430,40 +421,6 @@ def emit_csv(records, path, x: str = "sigma2") -> None:
         )
         lines.append(f"{row},{r.failures}" if failed else row)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_records(path) -> list[BenchRecord]:
-    """Inverse of :func:`emit_csv` for either ``x`` (up to the six-digit
-    float format). The field the file does not carry stays ``None``."""
-    lines = Path(path).read_text().splitlines()
-    headers = {
-        column + _CSV_TAIL + failures: x
-        for x, (column, _) in _X_AXES.items()
-        for failures in ("", _FAILURES_COLUMN)
-    }
-    if not lines or lines[0] not in headers:
-        raise ValidationError(f"{path}: not a sweep CSV")
-    x = headers[lines[0]]
-    records = []
-    for line in lines[1:]:
-        first, method, k_mode, f1, recall, precision, k_err, trials, *failures = (
-            line.split(",")
-        )
-        records.append(
-            BenchRecord(
-                sigma2=float(first) if x == "sigma2" else None,
-                method=method,
-                k_mode=k_mode,
-                mean_f1=float(f1),
-                mean_recall=float(recall),
-                mean_precision=float(precision),
-                mean_k_err=float(k_err),
-                trials=int(trials),
-                failures=int(failures[0]) if failures else 0,
-                n_samples=int(first) if x == "n_samples" else None,
-            )
-        )
-    return records
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

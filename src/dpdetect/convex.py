@@ -20,18 +20,18 @@ more time than the FFT and ``N^2`` memory. Detection then picks the K
 largest denoised entries subject to the usual start-index separation.
 
 The bisection reads only on which side of the band each penalty's
-optimal residual lies, so a step need not be solved to ``rel_tol``. Every
+optimal residual lies, so a step need not be solved to ``_REL_TOL``. Every
 ``_GAP_CHECK_EVERY`` iterations the duality gap of the penalized problem,
 with the current residual as the dual point, bounds the distance from the
 iterate's residual to the optimal one (the residual term is 1-strongly
 convex in ``G s``); a step stops as soon as that bound puts the optimal
-residual above ``delta`` or below ``delta*(1-feas_tol)``. A step whose
+residual above ``delta`` or below ``delta*(1-_FEAS_TOL)``. A step whose
 optimal residual lies in the band cannot be settled that way. At the same
 checks the solver then tries to polish the iterate: the entries strictly
 inside the box name the free set, and one linear solve of the optimality
 conditions on that set, with the other entries held at their bounds, gives
 the exact optimum if the set is the optimum's. The polished point is kept
-only if one proximal gradient step moves it by no more than ``rel_tol``,
+only if one proximal gradient step moves it by no more than ``_REL_TOL``,
 the step test FISTA's own iterates must pass; otherwise FISTA runs on.
 
 The circulant (wrap-around) convention differs from the linear synthesis
@@ -100,21 +100,22 @@ _GAP_CHECK_EVERY = 20
 # 1189 to 520 iterations.
 _POLISH_MAX_FREE = 512
 
+# Solver controls: bisection steps, the feasibility band's relative width,
+# FISTA iterations per step and the step test's relative tolerance.
+_MAX_OUTER = 40
+_FEAS_TOL = 0.01
+_MAX_ITER = 2000
+_REL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ConvexConfig:
-    """Noise level (setting the residual budget) and solver controls."""
+    """Noise level, which sets the residual budget, or the budget itself."""
 
     sigma2: float = 1.0
     delta_override: float | None = None
-    max_outer: int = 40
-    feas_tol: float = 0.01
-    max_iter: int = 2000
-    rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_outer < 1:
-            raise ValidationError("max_outer must be >= 1")
         if not math.isfinite(self.sigma2):
             raise ValidationError("noise variance must be finite")
         if self.delta_override is not None and not math.isfinite(self.delta_override):
@@ -347,11 +348,11 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
     """Solve the constrained program by bisecting the l1 penalty weight.
 
     The residual of the penalized solution increases with ``lam``; the
-    bisection stops once it falls within ``[delta*(1-feas_tol), delta]``.
+    bisection stops once it falls within ``[delta*(1-_FEAS_TOL), delta]``.
     Each step stops early once its duality gap proves on which side of
     that band the optimal residual lies (see :func:`_fista`); the step in
     the band runs until an iterate, or the exact solve on an iterate's free
-    set (:func:`_polish`), passes the ``rel_tol`` step test. A polished
+    set (:func:`_polish`), passes the ``_REL_TOL`` step test. A polished
     step counts as converged, for its side and for the infeasibility proof
     below; a failed polish is dropped and FISTA runs on. The
     ``dpdetect.convex`` debug line counts the certified and the polished
@@ -364,7 +365,7 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
     lower bound on the optimal residual) proves that no point of the box
     meets ``delta``. Raises :class:`ConvergenceError` (carrying the best
     iterate) when no step met the budget otherwise: that last solve hit
-    ``max_iter`` unsettled, or the search ran out of steps before the
+    ``_MAX_ITER`` unsettled, or the search ran out of steps before the
     penalty was small enough to tell.
     """
     y = as_measurement(y)
@@ -395,7 +396,7 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
         gty_max=float(np.abs(correlation).max()),
         yy=float(np.dot(yv, yv)),
         guard=2.0 * n * np.finfo(float).eps,
-        lo_sq=delta * (1.0 - cfg.feas_tol),
+        lo_sq=delta * (1.0 - _FEAS_TOL),
         hi_sq=delta,
         gram=np.fft.irfft(np.abs(spec) ** 2, n),
     )
@@ -408,11 +409,11 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
     polished = 0
     best = None
     trace = []
-    for _ in range(cfg.max_outer):
+    for _ in range(_MAX_OUTER):
         lam = 0.5 * (lo + hi)
         c = step * (correlation - lam)
         s, iters, converged, certificate, was_polished = _fista(
-            apply, c, warm, cfg.max_iter, cfg.rel_tol, band
+            apply, c, warm, _MAX_ITER, _REL_TOL, band
         )
         total_iters += iters
         polished += was_polished
@@ -454,7 +455,7 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
         )
     if best is None:
         raise ConvergenceError(
-            f"no feasible iterate within {cfg.max_outer} bisection steps "
+            f"no feasible iterate within {_MAX_OUTER} bisection steps "
             f"(best residual_sq {last_resid:.6g} vs delta {delta:.6g})",
             best=warm,
             residual_sq=last_resid,

@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from dpdetect.bench import (
     emit_csv,
     emit_svg,
     load_config,
-    load_records,
     run_length_scaling,
     run_sweep,
 )
@@ -136,16 +136,28 @@ def test_convex_limit_boundary_admits_the_paper_geometry():
     assert BenchConfig(n_samples=limit + 1, allow_slow_convex=True, **base).n_samples == limit + 1
 
 
+def _assert_csv(path, records, x="sigma2"):
+    """``path`` holds ``records`` field by field: each float is
+    ``format(v, ".6g")``, each int and string ``str(v)``, and a ``failures``
+    column follows ``trials`` only when some record counts one."""
+    failed = any(r.failures for r in records)
+    header = {"sigma2": "sigma2", "n_samples": "N"}[x]
+    header += ",method,k_mode,f1,recall,precision,k_err,trials"
+    lines = path.read_text().splitlines()
+    assert lines[0] == header + (",failures" if failed else "")
+    assert len(lines) == 1 + len(records)
+    for line, r in zip(lines[1:], records):
+        first = format(r.sigma2, ".6g") if x == "sigma2" else str(r.n_samples)
+        means = (r.mean_f1, r.mean_recall, r.mean_precision, r.mean_k_err)
+        fields = [first, r.method, r.k_mode, *(format(v, ".6g") for v in means), str(r.trials)]
+        assert line.split(",") == fields + ([str(r.failures)] if failed else [])
+
+
 def test_csv_round_trip(tmp_path):
     records = run_sweep(SMALL)
     path = tmp_path / "out.csv"
     emit_csv(records, path)
-    loaded = load_records(path)
-    assert len(loaded) == len(records)
-    for a, b in zip(records, loaded):
-        assert a.method == b.method and a.trials == b.trials
-        assert a.mean_f1 == pytest.approx(b.mean_f1, rel=1e-5)
-        assert a.sigma2 == pytest.approx(b.sigma2, rel=1e-5)
+    _assert_csv(path, records)
 
 
 def test_csv_row_count(tmp_path):
@@ -208,17 +220,15 @@ def test_scaling_csv_round_trip(tmp_path):
     records = run_length_scaling((100, 200), trials=2, perms=5, seed=3)
     path = tmp_path / "scaling.csv"
     emit_csv(records, path, x="n_samples")
-    loaded = load_records(path)
-    assert [(r.n_samples, r.method, r.trials) for r in loaded] == [
-        (r.n_samples, r.method, r.trials) for r in records
+    _assert_csv(path, records, x="n_samples")
+    assert [(r.n_samples, r.method) for r in records] == [
+        (100, "dp"), (100, "greedy"), (200, "dp"), (200, "greedy")
     ]
-    for a, b in zip(records, loaded):
-        assert b.sigma2 is None
-        assert a.mean_f1 == pytest.approx(b.mean_f1, rel=1e-5)
-    emit_csv(loaded, tmp_path / "again.csv", x="n_samples")
+    emit_csv(records, tmp_path / "again.csv", x="n_samples")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    no_sigma2 = [replace(r, sigma2=None) for r in records]
     with pytest.raises(ValidationError):
-        emit_csv(loaded, tmp_path / "out", x="sigma2")
+        emit_csv(no_sigma2, tmp_path / "out", x="sigma2")
 
 
 def test_scaling_counts_failed_trials(tmp_path, monkeypatch, caplog):
@@ -243,13 +253,11 @@ def test_writers_reject_unknown_or_missing_x(tmp_path):
     for emit in (emit_csv, emit_svg):
         with pytest.raises(ValidationError):
             emit(records, tmp_path / "out", x="length")
-    path = tmp_path / "sweep.csv"
-    emit_csv(records, path)
-    loaded = load_records(path)
-    assert all(r.n_samples is None for r in loaded)
+    no_n = [BenchRecord(1.0, "dp", "known", 0.5, 0.5, 0.5, 0.0, 10)]
+    assert no_n[0].n_samples is None
     for emit in (emit_csv, emit_svg):
-        with pytest.raises(ValidationError):
-            emit(loaded, tmp_path / "out", x="n_samples")
+        with pytest.raises(ValidationError, match="records carry no n_samples"):
+            emit(no_n, tmp_path / "out", x="n_samples")
     assert not (tmp_path / "out").exists()
 
 
@@ -283,6 +291,18 @@ def test_bad_config_values():
         BenchConfig(n_samples=100, length=10, k=2, sigma2_grid=(1.0,), methods=("dp", "dp"))
     with pytest.raises(ValidationError):
         BenchConfig(n_samples=100, length=10, k=2, sigma2_grid=(1.0,), k_mode="psychic")
+    # Values that would fail every trial of the sweep.
+    for bad, match in (
+        (dict(k=0), "k must be >= 1"),
+        (dict(length=0), "length 0 outside 1..n_samples 100"),
+        (dict(length=101), "length 101 outside 1..n_samples 100"),
+        (dict(perms=0), "perms must be >= 1"),
+        (dict(k_max=0), "k_max must be >= 1"),
+        (dict(k_max=-2, k_mode="gap"), "k_max must be >= 1"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            BenchConfig(**{**dict(n_samples=100, length=10, k=2, sigma2_grid=(1.0,)), **bad})
+    assert BenchConfig(n_samples=100, length=100, k=1, sigma2_grid=(1.0,), k_max=1).k_max == 1
 
 
 def test_length_hat_longer_than_measurement_refused():
@@ -315,7 +335,7 @@ def test_sweep_counts_failed_trials(tmp_path, caplog):
     lines = path.read_text().splitlines()
     assert lines[0] == "sigma2,method,k_mode,f1,recall,precision,k_err,trials,failures"
     assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["3", "0"]
-    assert [r.failures for r in load_records(path)] == [3, 0]
+    _assert_csv(path, records)
 
 
 def test_sweep_without_failures_keeps_csv_layout(tmp_path):
@@ -324,7 +344,7 @@ def test_sweep_without_failures_keeps_csv_layout(tmp_path):
     path = tmp_path / "ok.csv"
     emit_csv(records, path)
     assert "failures" not in path.read_text()
-    assert [r.failures for r in load_records(path)] == [0] * len(records)
+    _assert_csv(path, records)
 
 
 def reference_sweep(cfg):

@@ -213,6 +213,15 @@ def test_scaling_bad_n_token(tmp_path, capsys):
     assert err == "error:validation: --n-grid: cannot parse 'abc' as int\n"
 
 
+def test_bench_gap_mode_without_permutations_refused(tmp_path, capsys):
+    # Every trial's count estimate would fail: refused before any trial runs.
+    out = tmp_path / "x.csv"
+    assert run(["bench", "--n", 120, "--l", 12, "--k", 4, "--k-mode", "gap",
+                "--perms", 0, "--trials", 2, "--sigma2-grid", 1, "--out", out]) == 1
+    assert capsys.readouterr().err == "error:validation: perms must be >= 1\n"
+    assert not out.exists()
+
+
 def test_bench_config_malformed_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"n_samples": 120,')

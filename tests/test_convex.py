@@ -109,13 +109,14 @@ def test_bisection_residual_monotone_in_penalty():
     assert lams == sorted(lams)
 
 
-def test_objective_close_to_high_precision_reference():
+def test_objective_close_to_high_precision_reference(monkeypatch):
     from dpdetect import synthesize
 
     cfg = SynthConfig(n_samples=96, length=12, k=3, sigma2=1.0, seed=85)
     y, _ = synthesize(cfg, rect_template(12), np.random.default_rng(85))
     fast = denoise(y, rect_template(12), ConvexConfig(sigma2=1.0))
-    ref = denoise(y, rect_template(12), ConvexConfig(sigma2=1.0, max_iter=20000))
+    monkeypatch.setattr(convex_module, "_MAX_ITER", 20000)
+    ref = denoise(y, rect_template(12), ConvexConfig(sigma2=1.0))
     l1_fast = np.abs(fast.s).sum()
     l1_ref = np.abs(ref.s).sum()
     assert abs(l1_fast - l1_ref) <= 0.01 * max(l1_ref, 1.0)
@@ -176,29 +177,32 @@ def test_budget_below_box_minimum_is_infeasible():
         denoise(-3 * np.ones(50), np.ones(5), ConvexConfig(delta_override=1.0))
 
 
-def test_unconverged_infeasible_search_stays_convergence_error():
+def test_unconverged_infeasible_search_stays_convergence_error(monkeypatch):
     # The budget is below the box minimum (about 40.5) either way; only a
     # converged last solve may call it infeasible.
     y = np.random.default_rng(66).standard_normal(50)
-    with pytest.raises(ConvergenceError) as info:
-        denoise(y, np.ones(5), ConvexConfig(delta_override=1e-3, max_iter=3))
+    with monkeypatch.context() as m, pytest.raises(ConvergenceError) as info:
+        m.setattr(convex_module, "_MAX_ITER", 3)
+        denoise(y, np.ones(5), ConvexConfig(delta_override=1e-3))
     assert info.value.residual_sq > 40.0
     with pytest.raises(InfeasibleError):
         denoise(y, np.ones(5), ConvexConfig(delta_override=1e-3))
 
 
-def test_search_out_of_steps_with_attainable_budget_stays_convergence_error():
+def test_search_out_of_steps_with_attainable_budget_stays_convergence_error(monkeypatch):
     # Three steps meet delta = 41; two stop at a penalty too large to tell
     # whether the box can, so the search only ran out of steps.
     y = np.random.default_rng(66).standard_normal(50)
+    monkeypatch.setattr(convex_module, "_MAX_OUTER", 2)
     with pytest.raises(ConvergenceError):
-        denoise(y, np.ones(5), ConvexConfig(delta_override=41.0, max_outer=2))
-    track = denoise(y, np.ones(5), ConvexConfig(delta_override=41.0, max_outer=3))
+        denoise(y, np.ones(5), ConvexConfig(delta_override=41.0))
+    monkeypatch.setattr(convex_module, "_MAX_OUTER", 3)
+    track = denoise(y, np.ones(5), ConvexConfig(delta_override=41.0))
     assert track.residual_sq <= 41.0
     # One step suffices to prove the negative measurement infeasible.
+    monkeypatch.setattr(convex_module, "_MAX_OUTER", 1)
     with pytest.raises(InfeasibleError):
-        denoise(-3 * np.ones(50), np.ones(5),
-                ConvexConfig(delta_override=1.0, max_outer=1))
+        denoise(-3 * np.ones(50), np.ones(5), ConvexConfig(delta_override=1.0))
 
 
 def test_zero_template_is_infeasible_not_a_division_by_zero():
@@ -207,18 +211,12 @@ def test_zero_template_is_infeasible_not_a_division_by_zero():
         denoise(3 * np.ones(20), np.zeros(4), ConvexConfig(delta_override=1.0))
 
 
-def test_convergence_on_the_last_allowed_iteration_counts_as_converged():
-    # Every solve's first step is a zero update, so with max_iter=1 each
+def test_convergence_on_the_last_allowed_iteration_counts_as_converged(monkeypatch):
+    # Every solve's first step is a zero update, so with _MAX_ITER = 1 each
     # converges on its last allowed iteration and proves the budget infeasible.
+    monkeypatch.setattr(convex_module, "_MAX_ITER", 1)
     with pytest.raises(InfeasibleError):
-        denoise(-3 * np.ones(50), np.ones(5),
-                ConvexConfig(delta_override=1.0, max_iter=1))
-
-
-def test_no_bisection_steps_rejected():
-    y = np.random.default_rng(71).standard_normal(50)
-    with pytest.raises(ValidationError):
-        denoise(y, np.ones(5), ConvexConfig(delta_override=1e-3, max_outer=0))
+        denoise(-3 * np.ones(50), np.ones(5), ConvexConfig(delta_override=1.0))
 
 
 def test_lipschitz_step_is_largest_gram_eigenvalue():
@@ -323,12 +321,12 @@ def _outcome(y, x, k, cfg):
 
 
 def test_certificate_off_gives_the_same_search(monkeypatch):
-    # A check interval past max_iter never certifies: every step runs to
-    # rel_tol, as the solver did before the certificate.
+    # A check interval past _MAX_ITER never certifies: every step runs to
+    # _REL_TOL, as the solver did before the certificate.
     iterations = [0, 0]
     for y, x, k, cfg in _draws():
         picks, fast = _outcome(y, x, k, cfg)
-        monkeypatch.setattr(convex_module, "_GAP_CHECK_EVERY", cfg.max_iter + 1)
+        monkeypatch.setattr(convex_module, "_GAP_CHECK_EVERY", convex_module._MAX_ITER + 1)
         ref_picks, ref = _outcome(y, x, k, cfg)
         monkeypatch.undo()
         assert picks == ref_picks
@@ -382,23 +380,27 @@ def test_certified_sides_agree_with_long_solves(monkeypatch):
 
 def test_infeasible_proof_from_a_certified_step(monkeypatch, caplog):
     # Budget 1 is far below what the box allows for this negative-mean
-    # measurement. With max_iter=20 the one bisection step stops before its
+    # measurement. With _MAX_ITER = 20 the one bisection step stops before its
     # step test; its certified residual bound still proves infeasibility.
     rng = np.random.default_rng(0)
     x = rng.standard_normal(6)
     y = rng.standard_normal(60) - 2.0
-    cfg = ConvexConfig(delta_override=1.0, max_iter=20, max_outer=1)
-    with caplog.at_level("DEBUG", logger="dpdetect.convex"):
-        with pytest.raises(InfeasibleError, match="below the smallest residual_sq"):
+    cfg = ConvexConfig(delta_override=1.0)
+    with monkeypatch.context() as m:
+        m.setattr(convex_module, "_MAX_ITER", 20)
+        m.setattr(convex_module, "_MAX_OUTER", 1)
+        with caplog.at_level("DEBUG", logger="dpdetect.convex"):
+            with pytest.raises(InfeasibleError, match="below the smallest residual_sq"):
+                denoise(y, x, cfg)
+        assert "outer=1, certified=1, polished=0, iters=20" in caplog.records[-1].getMessage()
+        # Without the certificate the same unconverged search proves nothing ...
+        m.setattr(convex_module, "_GAP_CHECK_EVERY", 21)
+        with pytest.raises(ConvergenceError):
             denoise(y, x, cfg)
-    assert "outer=1, certified=1, polished=0, iters=20" in caplog.records[-1].getMessage()
-    # Without the certificate the same unconverged search proves nothing ...
-    monkeypatch.setattr(convex_module, "_GAP_CHECK_EVERY", cfg.max_iter + 1)
-    with pytest.raises(ConvergenceError):
-        denoise(y, x, cfg)
     # ... and a converged search agrees that the budget is infeasible.
+    monkeypatch.setattr(convex_module, "_GAP_CHECK_EVERY", 21)
     with pytest.raises(InfeasibleError):
-        denoise(y, x, ConvexConfig(delta_override=1.0))
+        denoise(y, x, cfg)
 
 
 def test_polish_off_gives_the_same_search(monkeypatch):
@@ -554,7 +556,8 @@ def test_infeasible_proof_from_a_polished_step(monkeypatch):
     rng = np.random.default_rng(0)
     x = np.exp(-0.5 * ((np.arange(8) - 4) / 2.0) ** 2)
     y = rng.standard_normal(60) + 0.3
-    cfg = ConvexConfig(delta_override=29.27, max_outer=14)
+    cfg = ConvexConfig(delta_override=29.27)
+    monkeypatch.setattr(convex_module, "_MAX_OUTER", 14)
     steps = _spy_fista(monkeypatch)
     with pytest.raises(InfeasibleError, match="below the smallest residual_sq"):
         denoise(y, x, cfg)
@@ -564,7 +567,8 @@ def test_infeasible_proof_from_a_polished_step(monkeypatch):
     # loose to prove anything; more bisection steps prove the same.
     monkeypatch.undo()
     _polish_off(monkeypatch)
-    with pytest.raises(ConvergenceError):
+    with monkeypatch.context() as m, pytest.raises(ConvergenceError):
+        m.setattr(convex_module, "_MAX_OUTER", 14)
         denoise(y, x, cfg)
     with pytest.raises(InfeasibleError):
-        denoise(y, x, ConvexConfig(delta_override=29.27))
+        denoise(y, x, cfg)
