@@ -13,8 +13,12 @@ record's ``failures``.
 :func:`run_sweep` processes the trials of a noise level in blocks of
 bounded size (:func:`~dpdetect.greedy.block_rows`). Only the generator
 draws stay per trial, in trial order (the truth starts, the noise row and
-the random baseline's starts), so the seed rule and each trial's stream
-are unchanged. The template copies are planted into the block at once,
+the random baseline's starts). They come from one reused generator: each
+block's seeded states are computed at once
+(:func:`~dpdetect.synth.pcg64_states`), and the starts are drawn from the
+raw stream (:class:`~dpdetect.synth.StreamDraws`), the same draws
+``default_rng(seed)`` makes, so the seed rule and each trial's stream are
+unchanged. The template copies are planted into the block at once,
 and each method then takes one detection step over the block: known-count
 ``dp`` and ``greedy`` run once over one shared score row per trial, and
 the convex baseline and the gap statistic's count estimates run per trial
@@ -42,8 +46,16 @@ from .dp import dp_detect_rows
 from .gap import GapConfig, estimate_k
 from .greedy import block_rows, separated_peaks
 from .metrics import score_rows
-from .model import METHODS, DetectError, ValidationError
-from .synth import SEPARATIONS, SynthConfig, plant, rect_template, sample_starts
+from .model import METHODS, DetectError, ValidationError, check_seed
+from .synth import (
+    SEPARATIONS,
+    StreamDraws,
+    SynthConfig,
+    pcg64_states,
+    plant,
+    rect_template,
+    sample_starts,
+)
 from .xcorr import correlation_rows
 
 __all__ = [
@@ -138,6 +150,11 @@ class BenchConfig:
             raise ValidationError("perms must be >= 1")
         if self.k_max is not None and self.k_max < 1:
             raise ValidationError("k_max must be >= 1")
+        check_seed(self.seed)
+        # The sweep seeds its trials' generators as a block (pcg64_states).
+        last = self.seed + len(self.sigma2_grid) * self.trials - 1
+        if last >= 1 << 128:
+            raise ValidationError(f"trial seeds reach {last}, past 2**128 - 1")
 
     @property
     def detector_length(self) -> int:
@@ -225,7 +242,9 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
     Trials run in blocks of :func:`~dpdetect.greedy.block_rows` rows. Per
     trial, in trial order, only the generator draws run: the truth starts,
     the noise row and, for ``random``, its starts (the draws of
-    :func:`~dpdetect.greedy.random_detect`, without its objective). The
+    :func:`~dpdetect.greedy.random_detect`, without its objective). They
+    are ``default_rng(seed)``'s draws, taken from one reused generator set
+    to each trial's state from :func:`~dpdetect.synth.pcg64_states`. The
     template copies are planted into the block at once; then each method
     in turn writes its starts for the block (:func:`_detect`), and its
     failures are logged and counted. Each block's starts are scored in one
@@ -244,6 +263,8 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
     random_cfg = SynthConfig(n_samples=cfg.n_samples, length=x.length, k=cfg.k, sigma2=0.0)
     n_pos = cfg.n_samples - x.length + 1
     block = block_rows(n_pos)
+    draws = StreamDraws()
+    normal = draws.generator.standard_normal
     records = []
     for sig_idx, sigma2 in enumerate(cfg.sigma2_grid):
         synth_cfg = SynthConfig(
@@ -261,13 +282,13 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
             block_seeds = seeds[first : first + block]
             ys = np.empty((len(block_seeds), cfg.n_samples))
             truth, drawn, random_failed = [], {}, {}  # random's by block row
-            for row, trial_seed in enumerate(block_seeds):
-                rng = np.random.default_rng(trial_seed)
-                truth.append(sample_starts(synth_cfg, rng))
-                rng.standard_normal(out=ys[row])
+            for row, state in enumerate(pcg64_states(block_seeds)):
+                draws.start(state)
+                truth.append(sample_starts(synth_cfg, draws))
+                normal(out=ys[row])
                 if "random" in cfg.methods:
                     try:
-                        drawn[row] = sample_starts(random_cfg, rng)
+                        drawn[row] = sample_starts(random_cfg, draws)
                     except DetectError as exc:
                         random_failed[row] = exc
             # rng.normal(0.0, sd, N) takes the same draws and returns

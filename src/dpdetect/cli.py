@@ -25,7 +25,7 @@ from .convex import ConvexConfig, convex_detect_full
 from .dp import dp_detect
 from .gap import GapConfig, estimate_k, gap_curve
 from .greedy import greedy_detect, random_detect
-from .model import DetectError, ValidationError
+from .model import DetectError, ValidationError, check_seed
 from .synth import SynthConfig, rect_template, synthesize
 from .whiten import estimate_psd, whiten
 
@@ -97,6 +97,7 @@ def cmd_detect(args) -> int:
     elif args.method == "greedy":
         result = greedy_detect(y, template, _require_k(args))
     elif args.method == "random":
+        check_seed(args.seed)
         rng = np.random.default_rng(args.seed)
         result = random_detect(y, template, _require_k(args), rng)
     else:

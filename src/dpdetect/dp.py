@@ -41,7 +41,8 @@ Per cell the table takes one bit; on top come the scores, the final row
 and the fill's working arrays, under 27 bytes per cell (see
 :func:`table_bytes`). :func:`dp_solve` refuses, before computing any
 score, a table larger than :data:`TABLE_BYTES_LIMIT`, a quarter of
-physical memory.
+physical memory, or of the process's cgroup memory limit where that is
+lower.
 
 When only the final row is needed, for many score vectors at once,
 :func:`dp_final_rows` runs the same recurrence position-major over a block
@@ -103,17 +104,59 @@ log = logging.getLogger(__name__)
 _FOLD_MIN_WIDTH = 1024
 
 
-def _quarter_of_physical_memory() -> int | None:
+def _cgroup_memory_limit(proc_cgroup="/proc/self/cgroup", root="/sys/fs/cgroup") -> int | None:
+    """The lowest memory limit on this process's cgroup and its ancestors, in bytes.
+
+    ``proc_cgroup`` names the cgroup: a cgroup v2 line ``0::<path>`` is read
+    as ``memory.max`` under ``root``, a v1 line whose controllers include
+    ``memory`` as ``memory.limit_in_bytes`` under ``root/memory``. A
+    directory's limit binds its descendants, so every level from the
+    cgroup's own directory up to the mount root counts. None when no level
+    sets a limit (``max``, or no such file) or the cgroup is not known.
+    """
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 4
-    except (AttributeError, ValueError, OSError):
+        with open(proc_cgroup) as f:
+            lines = f.read().splitlines()
+    except OSError:
         return None
+    limits = []
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        _, controllers, path = fields
+        if not controllers:
+            base, name = root, "memory.max"
+        elif "memory" in controllers.split(","):
+            base, name = os.path.join(root, "memory"), "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [p for p in path.split("/") if p]
+        for depth in range(len(parts), -1, -1):
+            try:
+                with open(os.path.join(base, *parts[:depth], name)) as f:
+                    text = f.read().strip()
+                if text != "max":
+                    limits.append(int(text))
+            except (OSError, ValueError):
+                continue
+    return min(limits, default=None)
+
+
+def _quarter_of_memory() -> int | None:
+    """A quarter of physical memory, or of the cgroup's limit where that is lower."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        physical = None
+    known = [m for m in (physical, _cgroup_memory_limit()) if m is not None]
+    return min(known) // 4 if known else None
 
 
 # Largest table, in bytes, that dp_solve allocates, and the cap on a block
 # of dp_final_rows (final_rows_block); None (no limit) where the platform
-# does not report physical memory.
-TABLE_BYTES_LIMIT = _quarter_of_physical_memory()
+# reports neither physical memory nor a cgroup limit.
+TABLE_BYTES_LIMIT = _quarter_of_memory()
 
 
 @dataclass(frozen=True)
@@ -188,7 +231,7 @@ def _check_limit(what: str, n_pos: int, k_max: int, needed: int) -> None:
         raise ValidationError(
             f"{what} for M={n_pos} candidates and k_max={k_max} needs "
             f"{needed} bytes, above the limit of {TABLE_BYTES_LIMIT} bytes "
-            "(a quarter of physical memory)"
+            "(a quarter of physical memory, or of the cgroup's memory limit if lower)"
         )
 
 

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,16 @@ class ConvergenceError(DetectError):
         super().__init__(message)
         self.best = best
         self.residual_sq = residual_sq
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed that ``np.random.default_rng`` cannot take."""
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 def _frozen_array(values, dtype=float):

@@ -6,6 +6,13 @@ configuration dead-ends (no eligible position left), the whole draw is
 restarted. Gaussian noise is then added on top of the clean superposition
 of template copies. :func:`plant` adds the copies to a ``(T, N)`` block of
 noise rows at once; :func:`synthesize` is its one-row case.
+
+A block of seeded trials can take each trial's ``default_rng(seed)``
+stream without building a generator per trial: :func:`pcg64_states`
+computes every trial's seeded ``PCG64`` state at once, and
+:class:`StreamDraws` sets each state into one reused generator and takes
+the starts' ``integers(0, n)`` draws from its raw 64-bit stream, bit for
+bit as ``Generator.integers`` would.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .model import (
     SignalTemplate,
     ValidationError,
     as_template,
+    check_seed,
 )
 
 __all__ = [
@@ -36,6 +44,24 @@ SEPARATIONS = ("arbitrary", "well_separated")
 
 # Cap on the configurations sample_starts draws before it gives up.
 MAX_ATTEMPTS = 10000
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**i mod 2**32`` for ``i < count``, as uint32."""
+    return np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(count)], np.uint32)
+
+
+# numpy's SeedSequence (pool of four 32-bit words; NEP 19 freezes it): hash
+# call i of the pool's mixing XORs with _POOL_HASH[i] and multiplies by
+# _POOL_HASH[i + 1] (16 calls), and of generate_state likewise with
+# _STATE_HASH (8 calls).
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -62,6 +88,7 @@ class SynthConfig:
             raise ValidationError("noise variance must be finite and non-negative")
         if self.separation not in SEPARATIONS:
             raise ValidationError(f"unknown separation {self.separation!r}")
+        check_seed(self.seed)
 
     @property
     def min_gap(self) -> int:
@@ -88,8 +115,12 @@ def sample_placements(cfg: SynthConfig, rng: np.random.Generator) -> PlacementSe
     return PlacementSet(sample_starts(cfg, rng), cfg.length)
 
 
-def sample_starts(cfg: SynthConfig, rng: np.random.Generator) -> list[int]:
-    """The sorted starts of :func:`sample_placements`, from the same draws."""
+def sample_starts(cfg: SynthConfig, rng) -> list[int]:
+    """The sorted starts of :func:`sample_placements`, from the same draws.
+
+    ``rng`` is a ``Generator`` or a :class:`StreamDraws`; only its
+    ``integers(0, n)`` is called.
+    """
     gap = cfg.min_gap
     if (cfg.k - 1) * gap + cfg.length > cfg.n_samples:
         raise InfeasibleError(
@@ -175,3 +206,100 @@ def synthesize(
     y = rng.normal(0.0, np.sqrt(cfg.sigma2), (1, cfg.n_samples))
     plant(y, np.array([starts], dtype=np.int64), x.samples)
     return Measurement(y[0]), PlacementSet(starts, cfg.length)
+
+
+def _hash(values: np.ndarray, constants: np.ndarray, first: int) -> np.ndarray:
+    """SeedSequence's hashmix of ``values[i]`` as its hash call ``first + i``."""
+    n = len(values)
+    values = values ^ constants[first : first + n, np.newaxis]
+    values *= constants[first + 1 : first + n + 1, np.newaxis]
+    return values ^ (values >> np.uint32(16))
+
+
+def pcg64_states(seeds) -> list[dict]:
+    """``np.random.PCG64(s).state`` for each seed ``s``, ``0 <= s < 2**128``.
+
+    ``SeedSequence(s)`` hashes ``s`` as four little-endian 32-bit words
+    (a shorter seed hashes as if padded with zero words), so its pool and
+    its ``generate_state(4, uint64)`` are uint32 arithmetic over all the
+    seeds at once. PCG64 takes those four 64-bit words as ``initstate``
+    (the first two) and ``initseq`` (the last two), and sets
+    ``inc = 2 initseq + 1`` and ``state = (inc + initstate) mult + inc``,
+    mod ``2**128``, in Python ints.
+    """
+    seeds = list(seeds)
+    if seeds and (min(seeds) < 0 or max(seeds) > _MASK128):
+        raise ValidationError("seeds must lie in 0 .. 2**128 - 1")
+    words = np.array(
+        [[s & _MASK32, s >> 32 & _MASK32, s >> 64 & _MASK32, s >> 96] for s in seeds],
+        dtype=np.uint32,
+    ).reshape(-1, 4)
+    pool = _hash(words.T, _POOL_HASH, 0)
+    for src in range(4):
+        # One hash call per other word, in order; each hashes word src.
+        dst = [i for i in range(4) if i != src]
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hash(
+            pool[[src] * 3], _POOL_HASH, 4 + 3 * src
+        )
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    # generate_state(4, uint64): eight 32-bit words, low word first.
+    state_words = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_HASH, 0).astype(np.uint64)
+    halves = state_words[0::2] | state_words[1::2] << np.uint64(32)
+    states = []
+    for s0, s1, s2, s3 in halves.T.tolist():
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
+
+
+class StreamDraws:
+    """One reused PCG64 ``generator`` and its ``integers(low, high)`` draws.
+
+    :meth:`start` sets a state from :func:`pcg64_states`; from there,
+    ``integers`` and ``generator``'s doubles and normals draw what
+    ``default_rng(seed)``'s would. ``integers(low, high)`` returns what
+    ``Generator.integers(low, high)`` would for ``1 <= high - low <= 2**32``,
+    as a Python int: Lemire's bounded draw over 32-bit words, each 64-bit
+    output giving its low half first and keeping the high half for the
+    next draw (the bit generator's ``has_uint32`` buffer, which its
+    doubles and normals leave alone). A range of one draws nothing.
+    """
+
+    __slots__ = ("generator", "_raw", "_half")
+
+    def __init__(self):
+        self.generator = np.random.Generator(np.random.PCG64(0))
+        self._raw = self.generator.bit_generator.random_raw
+        self._half = None
+
+    def start(self, state: dict) -> None:
+        """Continue from ``state``, with an empty 32-bit buffer."""
+        self.generator.bit_generator.state = state
+        self._half = None
+
+    def integers(self, low: int, high: int) -> int:
+        n = high - low
+        if n == 1:
+            return low
+        while True:
+            half = self._half
+            if half is None:
+                raw = self._raw()
+                self._half = raw >> 32
+                m = (raw & _MASK32) * n
+            else:
+                self._half = None
+                m = half * n
+            # Lemire's rejection threshold, (2**32 - n) % n, is below n:
+            # a leftover of n or more passes without computing it.
+            leftover = m & _MASK32
+            if leftover >= n or leftover >= ((1 << 32) - n) % n:
+                return low + (m >> 32)

@@ -305,6 +305,16 @@ def test_bad_config_values():
     assert BenchConfig(n_samples=100, length=100, k=1, sigma2_grid=(1.0,), k_max=1).k_max == 1
 
 
+def test_seed_range_refused():
+    base = dict(n_samples=100, length=10, k=2, sigma2_grid=(1.0, 2.0), trials=3)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        BenchConfig(seed=-1, **base)
+    # The last trial seed, seed + 2 * 3 - 1, must stay below 2**128.
+    assert BenchConfig(seed=2**128 - 6, **base).seed == 2**128 - 6
+    with pytest.raises(ValidationError, match=f"trial seeds reach {2**128}, past"):
+        BenchConfig(seed=2**128 - 5, **base)
+
+
 def test_length_hat_longer_than_measurement_refused():
     # Every trial of every method would fail: refuse the config instead.
     with pytest.raises(ValidationError, match="length_hat 60 exceeds n_samples 50"):
@@ -470,7 +480,8 @@ def test_sweep_equals_trial_at_a_time_reference(cfg, monkeypatch, caplog):
 
 # One sweep trial's whole stream, pinned: the truth starts, the noise row
 # (its first three and last samples), the random baseline's starts and the
-# generator's next draw. A change to any draw or to their order shows here.
+# generator's next draw (the sweep's reused generator, left at the trial's
+# state). A change to any draw or to their order shows here.
 # c04's trial 999 and c05's trial 202, at sigma2 = 2.
 @pytest.mark.parametrize(
     "overrides, truth, noise, random_starts, next_draw",
@@ -517,7 +528,7 @@ def test_sweep_trial_stream_pinned(
     assert truth_drawn == truth
     assert rows[0][0, [0, 1, 2, -1]].tolist() == noise
     assert random_drawn == random_starts
-    assert rng.random() == next_draw
+    assert rng.generator.random() == next_draw
 
 
 def test_sweep_refuses_a_non_finite_measurement(monkeypatch):

@@ -213,6 +213,28 @@ def test_scaling_bad_n_token(tmp_path, capsys):
     assert err == "error:validation: --n-grid: cannot parse 'abc' as int\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "--n", 300, "--l", 30, "--k", 6],
+        ["detect", "--rect", 30, "--method", "random", "--k", 6],
+        ["detect", "--rect", 30, "--estimate-k", "--kmax", 10],
+        ["gapcurve", "--rect", 30, "--kmax", 10],
+        ["bench", "--n", 120, "--l", 12, "--k", 4, "--trials", 2],
+        ["scaling", "--l", 20, "--n-grid", 100, "--trials", 2],
+    ],
+    ids=["gen", "detect-random", "detect-estimate-k", "gapcurve", "bench", "scaling"],
+)
+def test_negative_seed_refused(args, noiseless, tmp_path, capsys):
+    meas, _ = noiseless
+    if args[0] in ("detect", "gapcurve"):
+        args = [*args, "--in", meas]
+    out = tmp_path / "out"
+    assert run([*args, "--seed", -1, "--out", out]) == 1
+    assert capsys.readouterr().err == "error:validation: seed must be >= 0, got -1\n"
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_bench_gap_mode_without_permutations_refused(tmp_path, capsys):
     # Every trial's count estimate would fail: refused before any trial runs.
     out = tmp_path / "x.csv"
@@ -229,6 +251,13 @@ def test_bench_config_malformed_json(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error:validation: {cfg}: not valid JSON")
     assert err.count("\n") == 1
+
+
+def test_bench_config_non_integer_seed_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_samples": 120, "length": 12, "k": 2, "sigma2_grid": [1.0], "seed": 1.5}')
+    assert run(["bench", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
+    assert capsys.readouterr().err == "error:validation: seed must be an integer, got 1.5\n"
 
 
 def test_cli_import_loads_neither_numpy_random_nor_fft():

@@ -239,6 +239,55 @@ def test_limit_admits_wide_tables_at_one_bit_per_cell(monkeypatch):
     )
 
 
+def _cgroup_tree(tmp_path, proc_lines, limits):
+    """A fake /proc/self/cgroup and cgroup mount: ``limits`` maps file paths to text."""
+    tmp_path.mkdir(exist_ok=True)
+    proc = tmp_path / "cgroup"
+    proc.write_text("".join(line + "\n" for line in proc_lines))
+    for rel, text in limits.items():
+        (tmp_path / "fs" / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "fs" / rel).write_text(text + "\n")
+    return dp_mod._cgroup_memory_limit(str(proc), str(tmp_path / "fs"))
+
+
+def test_cgroup_v2_memory_limit_read_at_every_level(tmp_path):
+    proc = ["0::/ctr/job"]
+    assert _cgroup_tree(tmp_path / "own", proc, {"ctr/job/memory.max": "1073741824"}) == 1 << 30
+    # A lower limit on an ancestor binds too; "max" sets none.
+    assert _cgroup_tree(tmp_path / "parent", proc, {
+        "ctr/job/memory.max": "max", "ctr/memory.max": "536870912",
+    }) == 1 << 29
+    # A namespaced mount whose root is the cgroup's own directory.
+    assert _cgroup_tree(tmp_path / "ns", proc, {"memory.max": "268435456"}) == 1 << 28
+    assert _cgroup_tree(tmp_path / "none", proc, {"ctr/job/memory.max": "max"}) is None
+
+
+def test_cgroup_v1_memory_limit_from_the_memory_controller(tmp_path):
+    proc = ["5:cpu,cpuacct:/other", "4:memory:/ctr", "0::/"]
+    assert _cgroup_tree(tmp_path / "v1", proc, {
+        "memory/ctr/memory.limit_in_bytes": "2147483648",
+        "memory/memory.limit_in_bytes": "9223372036854771712",
+        "cpu,cpuacct/other/memory.limit_in_bytes": "1",
+    }) == 2 << 30
+    assert _cgroup_tree(tmp_path / "unset", proc, {}) is None
+
+
+def test_cgroup_memory_limit_unknown(tmp_path):
+    assert dp_mod._cgroup_memory_limit(str(tmp_path / "missing"), str(tmp_path)) is None
+    # Malformed lines and limits are skipped, not raised.
+    assert _cgroup_tree(tmp_path, ["garbage", "0::/a"], {
+        "a/memory.max": "lots", "memory.max": "4096",
+    }) == 4096
+
+
+def test_table_limit_is_a_quarter_of_the_lower_memory(monkeypatch):
+    physical = dp_mod.os.sysconf("SC_PAGE_SIZE") * dp_mod.os.sysconf("SC_PHYS_PAGES")
+    monkeypatch.setattr(dp_mod, "_cgroup_memory_limit", lambda: 1 << 30)
+    assert dp_mod._quarter_of_memory() == min(physical, 1 << 30) // 4
+    monkeypatch.setattr(dp_mod, "_cgroup_memory_limit", lambda: None)
+    assert dp_mod._quarter_of_memory() == physical // 4
+
+
 def test_solve_memory_far_below_full_table():
     n, length, k_max = 1 << 17, 20, 96
     rng = np.random.default_rng(38)

@@ -231,3 +231,69 @@ def test_sample_placements_match_mask_reference(n, length, k, separation):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         assert sample_placements(cfg, a).starts.tolist() == reference_sample(cfg, b)
         assert a.random() == b.random()
+
+
+# Block seeding and raw-stream draws against live numpy: Generator's bounded
+# integers are not frozen by NEP 19, so a change in numpy must fail here.
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1],
+        list(range(2**32 - 40, 2**32 + 40)),
+        list(range(2**64 - 3, 2**64 + 3)) + [2**96 - 1, 2**96, 7, 2**100 + 12345],
+        [],
+    ],
+    ids=["words", "across-2**32", "across-2**64", "empty"],
+)
+def test_pcg64_states_equal_numpy(seeds):
+    assert synth_mod.pcg64_states(seeds) == [np.random.PCG64(s).state for s in seeds]
+
+
+def test_pcg64_states_refuses_out_of_range_seeds():
+    for seeds in ([3, -1], [2**128]):
+        with pytest.raises(ValidationError, match="seeds must lie in"):
+            synth_mod.pcg64_states(seeds)
+
+
+BOUNDS = [1, 2, 271, 2**31, 3 * 10**9, 2**32 - 1, 2**32]
+
+
+def test_stream_draws_equal_numpy_integers():
+    # 1-9 draws a seed over bounds mixed at random (3e9 rejects about 30%
+    # of words), a normal row part way, then the generator's next double.
+    # The draws object is reused, so a high half left over from one seed
+    # must not reach the next.
+    choose = np.random.default_rng(2024)
+    draws = synth_mod.StreamDraws()
+    got_row, want_row = np.empty(5), np.empty(5)
+    for seed in range(3000):
+        bounds = [BOUNDS[i] for i in choose.integers(0, len(BOUNDS), choose.integers(1, 10))]
+        split = int(choose.integers(0, len(bounds) + 1))
+        rng = np.random.default_rng(seed)
+        want = [int(rng.integers(0, n)) for n in bounds[:split]]
+        rng.standard_normal(out=want_row)
+        want += [int(rng.integers(0, n)) for n in bounds[split:]]
+        draws.start(synth_mod.pcg64_states([seed])[0])
+        got = [draws.integers(0, n) for n in bounds[:split]]
+        draws.generator.standard_normal(out=got_row)
+        got += [draws.integers(0, n) for n in bounds[split:]]
+        assert got == want, (seed, bounds)
+        assert np.array_equal(got_row, want_row)
+        assert draws.generator.random() == rng.random()
+
+
+def test_stream_draws_sample_starts_as_generator():
+    # Restarts included: K = 25 of L = 30 in N = 1000 dead-ends often.
+    cfgs = [
+        SynthConfig(n_samples=1000, length=30, k=25, sigma2=0.0),
+        SynthConfig(n_samples=61, length=5, k=5, sigma2=0.0, separation="well_separated"),
+        SynthConfig(n_samples=30, length=30, k=1, sigma2=0.0),
+    ]
+    seeds = range(500)
+    draws = synth_mod.StreamDraws()
+    for cfg in cfgs:
+        for seed, state in zip(seeds, synth_mod.pcg64_states(seeds)):
+            draws.start(state)
+            rng = np.random.default_rng(seed)
+            assert synth_mod.sample_starts(cfg, draws) == synth_mod.sample_starts(cfg, rng)
+            assert draws.generator.random() == rng.random()
