@@ -168,10 +168,10 @@ class BenchRecord:
     ``failures`` counts the trials whose detector raised a
     :class:`DetectError`; those are scored as empty detections.
     ``sigma2`` and ``n_samples`` are the noise variance and measurement
-    length; the writers refuse to sweep over one that is ``None``.
+    length, the fields a writer can sweep over.
     """
 
-    sigma2: float | None
+    sigma2: float
     method: str
     k_mode: str
     mean_f1: float
@@ -179,8 +179,8 @@ class BenchRecord:
     mean_precision: float
     mean_k_err: float
     trials: int
-    failures: int = 0
-    n_samples: int | None = None
+    failures: int
+    n_samples: int
 
 
 def _detect(method, ys, scores, out, cfg: BenchConfig, x, sigma2, k_max, seeds) -> dict:
@@ -403,13 +403,11 @@ _X_AXES = {
 
 
 def _x_axis(records, x) -> tuple[str, str]:
-    """(CSV column, axis label) for ``x``; every record must carry ``x``."""
+    """(CSV column, axis label) for ``x``; there must be records to write."""
     if x not in _X_AXES:
         raise ValidationError(f"unknown x {x!r}; expected one of {list(_X_AXES)}")
     if not records:
         raise ValidationError("no records to write")
-    if any(getattr(r, x) is None for r in records):
-        raise ValidationError(f"records carry no {x}")
     return _X_AXES[x]
 
 

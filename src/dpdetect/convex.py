@@ -153,13 +153,17 @@ def _padded_spectrum(x, n_samples: int) -> np.ndarray:
     return np.fft.rfft(x.samples, n_samples)
 
 
+def _circular(v, spec, n_samples: int) -> np.ndarray:
+    """The circulant with spectrum ``spec`` applied to ``v``."""
+    return np.fft.irfft(np.fft.rfft(v) * spec, n_samples)
+
+
 def forward_op(s, x, n_samples: int) -> np.ndarray:
     """Circular convolution of ``s`` with the zero-padded template."""
     s = np.asarray(s, dtype=float)
     if s.size != n_samples:
         raise ValidationError(f"expected length {n_samples}, got {s.size}")
-    spec = _padded_spectrum(x, n_samples)
-    return np.fft.irfft(np.fft.rfft(s) * spec, n_samples)
+    return _circular(s, _padded_spectrum(x, n_samples), n_samples)
 
 
 def adjoint_op(r, x, n_samples: int) -> np.ndarray:
@@ -167,8 +171,7 @@ def adjoint_op(r, x, n_samples: int) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.size != n_samples:
         raise ValidationError(f"expected length {n_samples}, got {r.size}")
-    spec = _padded_spectrum(x, n_samples)
-    return np.fft.irfft(np.fft.rfft(r) * np.conj(spec), n_samples)
+    return _circular(r, np.conj(_padded_spectrum(x, n_samples)), n_samples)
 
 
 def _step_operator(spec, n_samples: int):
@@ -356,9 +359,10 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
     step counts as converged, for its side and for the infeasibility proof
     below; a failed polish is dropped and FISTA runs on. The
     ``dpdetect.convex`` debug line counts the certified and the polished
-    steps. A search that runs out of steps first
-    returns its feasible step with the largest penalty, which may be a
-    certified-feasible iterate that is not fully converged.
+    steps, or says that ``||y||^2 <= delta`` made the zero vector the
+    answer. A search that runs out of steps first returns its feasible step
+    with the largest penalty, which may be a certified-feasible iterate
+    that is not fully converged.
     Raises :class:`InfeasibleError` when no step met the budget, the last
     solve (at the smallest penalty tried) converged or was certified above
     the budget, and its residual (for a certified step, the certified
@@ -375,26 +379,23 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
     yv = y.samples
 
     spec = _padded_spectrum(x, n)
-    correlation = np.fft.irfft(np.fft.rfft(yv) * np.conj(spec), n)
+    correlation = _circular(yv, np.conj(spec), n)  # G^T y
     # Any penalty at or above the peak correlation keeps the zero vector
     # optimal, so bisection starts just above it.
     lam_zero = max(float(correlation.max()), 0.0) * 1.001 + 1e-12
+    yy = float(np.dot(yv, yv))
 
-    if float(np.dot(yv, yv)) <= delta:
+    if yy <= delta:
         # The zero vector is feasible and has minimal l1 norm.
-        return DenoisedTrack(
-            s=np.zeros(n),
-            residual_sq=float(np.dot(yv, yv)),
-            lambda_star=lam_zero,
-            iterations=0,
-        )
+        log.debug("convex zero track: N=%d, ||y||^2=%.6g <= delta=%.6g", n, yy, delta)
+        return DenoisedTrack(s=np.zeros(n), residual_sq=yy, lambda_star=lam_zero, iterations=0)
 
     apply, step, path = _step_operator(spec, n)
     band = _Band(
         step=step,
         gty=correlation,
         gty_max=float(np.abs(correlation).max()),
-        yy=float(np.dot(yv, yv)),
+        yy=yy,
         guard=2.0 * n * np.finfo(float).eps,
         lo_sq=delta * (1.0 - _FEAS_TOL),
         hi_sq=delta,
@@ -417,7 +418,7 @@ def denoise(y, x, cfg: ConvexConfig) -> DenoisedTrack:
         )
         total_iters += iters
         polished += was_polished
-        resid = yv - np.fft.irfft(np.fft.rfft(s) * spec, n)
+        resid = yv - _circular(s, spec, n)
         resid_sq = float(np.dot(resid, resid))
         trace.append((lam, resid_sq))
         warm = s
@@ -492,7 +493,6 @@ def convex_detect_full(
         placements=placements,
         objective=objective_value(y, x, placements),
         method="convex",
-        k_hat=len(picks),
         saturated=saturated,
     )
     return result, track

@@ -88,7 +88,7 @@ log = logging.getLogger(__name__)
 # process, 2-core Xeon, numpy 2.4, for L = 1, 8, 20, 64 and T = 1, 4, 15
 # at K = 4-16: 0.96-1.65 at 256 columns, 0.74-1.18 at 512, 0.63-1.07 at
 # 768, 0.64-0.88 at 1024, 0.63-0.82 at 1536; 0.61 at N = 2^19, L = 20,
-# K = 96 (21845 columns). table_bytes bounds the padding by this width.
+# K = 96 (21845 columns).
 #
 # A block of two or more rows folds from half this width. Many short rows
 # cost the row path more per cell, so such blocks cross over earlier. The
@@ -99,8 +99,17 @@ log = logging.getLogger(__name__)
 # 0.64-0.99 at T = 114-124 (798-1488). Other blocks from 512 to 1023
 # columns: 0.68-0.77 for 160-512 rows of M = 31-120, 0.63-0.92 at T = 2-30
 # with M = 600-30000 (668-1008 columns), 0.99-1.14 at T = 2 and 4 (518 and
-# 520 columns), and 1.24 for 256 rows of M = 24 (two chunks of 24 cells
-# each, half of them padding).
+# 520 columns).
+#
+# No block folds when padding makes up 3/8 or more of its cells: the folded
+# path pays for them, the row path does not. Best of 9 alternating calls,
+# K = 2, three to five runs, at T = 256 / 512 / 1024 rows: M = 24 at B = 24
+# (48% padding) 1.12-1.25 / 0.94-1.32 / 0.88-1.49, M = 40 at B = 40 (49%)
+# 1.17-1.56 / 1.05-1.36 / 1.61-1.75, M = 48 at B = 40 (39%) 1.08-1.09 /
+# 0.94-1.13 / 1.38-1.46; against M = 30 at B = 24 (35%) 0.96-1.05 /
+# 0.79-1.16 / 0.74-1.32 and M = 60 at B = 40 (24%) 0.86 / 0.76-0.84 /
+# 0.99-1.05. run_sweep's blocks above pad at most 6% and fold as before:
+# 0.62-0.80 at T = 90 (folded), 1.03-1.46 at T = 20 (rows).
 _FOLD_MIN_WIDTH = 1024
 
 
@@ -181,28 +190,21 @@ class DpTable:
         return self.best.shape[0] - 1
 
 
-def table_bytes(n_pos: int, k_max: int, rows: int = 1, length: int | None = None) -> int:
+def table_bytes(n_pos: int, k_max: int, length: int, rows: int = 1) -> int:
     """Bytes of :func:`fill_rows` on ``rows`` score rows of ``M = n_pos``.
 
     The packed choice bits, the final row and the float64 scores, plus what
     :func:`fill_rows` works in per cell: on either path at most two float64
     rows, a float64 copy of the scores, a bool row, the packed bytes of one
     count in two orders and the chunk carries, under 27 bytes in all. The
-    folded path pads each row's ``M+1`` cells to whole chunks of ``B``
-    cells. A single row folds only into at least :data:`_FOLD_MIN_WIDTH`
-    chunks, which keeps its padding below one cell per
-    ``_FOLD_MIN_WIDTH - 1``; a block of rows may fold into few chunks per
-    row, so its padding is counted from the chunk size, and ``length``
-    (the template length that sets ``B``) is needed when ``rows > 1``.
-    This is what :func:`check_table` holds against
-    :data:`TABLE_BYTES_LIMIT`.
+    cells are the fill's own: ``M+1`` per row, or the ``B * nb`` of the
+    chunks :func:`_fold_shape` pads each row to when the block folds
+    (``length``, the template length, sets ``B``). This is what
+    :func:`check_table` holds against :data:`TABLE_BYTES_LIMIT`.
     """
     bits = (k_max + 1) * ((n_pos + 8) // 8)
-    if rows == 1:
-        cells = n_pos + 1 + (n_pos + 1) // (_FOLD_MIN_WIDTH - 1)
-    else:
-        fold = _fold_shape(rows, n_pos, length)
-        cells = fold[0] * fold[1] if fold else n_pos + 1
+    fold = _fold_shape(rows, n_pos, length)
+    cells = fold[0] * fold[1] if fold else n_pos + 1
     return rows * (bits + 8 * (k_max + 1 + n_pos) + 27 * cells)
 
 
@@ -220,7 +222,7 @@ def check_table(n_samples: int, length: int, k_max: int, rows: int = 1) -> int:
             f"measurement shorter than template ({n_samples} < {length})"
         )
     n_pos = n_samples - length + 1
-    needed = table_bytes(n_pos, k_max, rows, length)
+    needed = table_bytes(n_pos, k_max, length, rows)
     _check_limit(f"{rows} DP tables" if rows > 1 else "DP table", n_pos, k_max, needed)
     return n_pos
 
@@ -241,12 +243,14 @@ def _fold_shape(n_rows: int, n_pos: int, length: int) -> tuple[int, int] | None:
     Chunks hold ``B >= L`` cells, ``B`` a multiple of 8 so that each
     chunk's choice bits fill whole bytes; each row makes ``nb`` of them.
     One row folds into at least :data:`_FOLD_MIN_WIDTH` chunks, and a
-    block of rows when they make at least half as many in all.
+    block of rows when they make at least half as many in all, unless
+    padding makes up 3/8 or more of the cells.
     """
     height = -(-length // 8) * 8
     columns = -(-(n_pos + 1) // height)
     width = _FOLD_MIN_WIDTH if n_rows == 1 else _FOLD_MIN_WIDTH // 2
-    return (height, columns) if n_rows * columns >= width else None
+    dense = 8 * (n_pos + 1) > 5 * columns * height
+    return (height, columns) if dense and n_rows * columns >= width else None
 
 
 def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,14 +263,12 @@ def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     the same adds and strict comparisons as a single row, and takes exact
     maxima, so every row equals its own one-row fill bit for bit.
 
-    Two paths fill the same cells. Short rows and small blocks run each
-    count's running maximum along contiguous rows, one serial
-    ``fmax.accumulate``. A row that folds into at least
-    :data:`_FOLD_MIN_WIDTH` chunks, or a block of rows that fold into at
-    least half as many in all (:func:`_fold_shape`), runs the folded path
-    (:func:`_fill_folded`), which moves every chunk forward one cell per
-    numpy call. The ``dpdetect.dp`` logger reports the path, the chunk
-    size and count and the bytes the fill works in at debug level.
+    Two paths fill the same cells. A block that :func:`_fold_shape` folds
+    runs the folded path (:func:`_fill_folded`), which moves every chunk
+    forward one cell per numpy call; any other runs each count's running
+    maximum along contiguous rows, one serial ``fmax.accumulate``. The
+    ``dpdetect.dp`` logger reports the path, the chunk size and count and
+    the bytes the fill works in at debug level.
     """
     n_rows, n_pos = scores.shape
     final = np.zeros((n_rows, k_max + 1))
@@ -600,7 +602,6 @@ def dp_detect(y, x, k: int) -> DetectionResult:
         placements=placements,
         objective=float(table.best[k]),
         method="dp",
-        k_hat=k,
     )
 
 

@@ -121,7 +121,6 @@ def greedy_detect(y, x, k: int) -> DetectionResult:
         placements=PlacementSet(sorted(picks), x.length),
         objective=objective,
         method="greedy",
-        k_hat=len(picks),
         saturated=saturated,
     )
 
@@ -142,5 +141,4 @@ def random_detect(y, x, k: int, rng: np.random.Generator) -> DetectionResult:
         placements=placements,
         objective=objective_value(y, x, placements),
         method="random",
-        k_hat=k,
     )

@@ -166,21 +166,22 @@ class DetectionResult:
     """Placements found by one detector, with the objective they achieve.
 
     ``saturated`` is set by the greedy-style detectors when fewer than the
-    requested number of eligible positions remained; ``k_hat`` then falls
-    short of the request.
+    requested number of eligible positions remained; ``k_hat``, the number
+    of placements, then falls short of the request.
     """
 
     placements: PlacementSet
     objective: float
     method: str
-    k_hat: int
     saturated: bool = field(default=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.k_hat != len(self.placements):
-            raise ValidationError("k_hat must equal the number of placements")
+
+    @property
+    def k_hat(self) -> int:
+        return len(self.placements)
 
 
 def validate_placements(

@@ -62,10 +62,27 @@ def test_adjoint_inner_product_identity():
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
 
-def test_zero_measurement_gives_zero_solution():
-    track = denoise(np.zeros(40), rect_template(5), ConvexConfig(sigma2=1.0))
+def test_zero_measurement_gives_zero_solution(caplog):
+    with caplog.at_level("DEBUG", logger="dpdetect.convex"):
+        track = denoise(np.zeros(40), rect_template(5), ConvexConfig(sigma2=1.0))
     assert not track.s.any()
     assert track.residual_sq == 0.0
+    assert [r.getMessage() for r in caplog.records] == [
+        "convex zero track: N=40, ||y||^2=0 <= delta=48"
+    ]
+
+
+@pytest.mark.parametrize("n", [150, 361, 800])  # the dense step, then the FFT step
+def test_residual_is_the_forward_operators(n):
+    x = rect_template(15)
+    rng = np.random.default_rng(n)
+    for sigma2 in (0.25, 0.5, 1.0):
+        s_true = np.zeros(n)
+        s_true[rng.choice(n - 15, n // 20, replace=False)] = 1.0
+        y = forward_op(s_true, x, n) + rng.normal(0.0, np.sqrt(sigma2), n)
+        track = denoise(y, x, ConvexConfig(sigma2=sigma2))
+        r = y - forward_op(track.s, x, n)
+        assert track.s.any() and track.residual_sq == float(np.dot(r, r))
 
 
 def test_noiseless_sparse_recovery_support():

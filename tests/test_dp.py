@@ -216,7 +216,7 @@ def test_table_larger_than_limit_fails_before_allocating(monkeypatch):
         raise AssertionError("scores computed for a table over the limit")
 
     # M = 91 candidates and k_max = 9.
-    needed = dp_mod.table_bytes(91, 9)
+    needed = dp_mod.table_bytes(91, 9, 10)
     monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", needed - 1)
     monkeypatch.setattr(dp_mod, "correlation_scores", no_scoring)
     with pytest.raises(ValidationError, match=f"needs {needed} bytes.*limit of {needed - 1}"):
@@ -231,11 +231,11 @@ def test_table_larger_than_limit_fails_before_allocating(monkeypatch):
 def test_limit_admits_wide_tables_at_one_bit_per_cell(monkeypatch):
     # M = 1e5, k_max = 3000: 37.5 MB of choice bits, where a float64 and a
     # bool per cell took 2.70e9 bytes. The fill works in under 27 bytes per
-    # cell, padded by at most one cell in 1023.
+    # cell, its 100_001 cells padded to 4167 chunks of 24.
     monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 64 << 20)
     assert dp_mod.check_table(100_019, 20, 3000) == 100_000
-    assert dp_mod.table_bytes(100_000, 3000) == (
-        3001 * 12_501 + 8 * (3001 + 100_000) + 27 * (100_001 + 97)
+    assert dp_mod.table_bytes(100_000, 3000, 20) == (
+        3001 * 12_501 + 8 * (3001 + 100_000) + 27 * 4167 * 24
     )
 
 
@@ -397,7 +397,13 @@ def test_block_kernel_matches_per_row_solve_bit_for_bit(monkeypatch, scan_bytes)
                 assert dp_backtrack(table, k).starts.tolist() == expected
 
 
-FORCE_PATH = {"chunks": 1, "rows": 1 << 62}  # _FOLD_MIN_WIDTH that forces each path
+def _chunks(n_rows, n_pos, length):
+    """The fold shape of every block, however few its chunks or many its padded cells."""
+    height = -(-length // 8) * 8
+    return height, -(-(n_pos + 1) // height)
+
+
+FORCE_PATH = {"chunks": _chunks, "rows": lambda *shape: None}  # _fold_shape for each path
 
 
 def _maximum_fill(scores, length, k_max):
@@ -433,8 +439,8 @@ def test_fill_equals_maximum_accumulate_fill_bit_for_bit(monkeypatch):
             scores[rng.random(scores.shape) < 0.3] = -np.inf
         k_max = int(rng.integers(0, 7))
         ref_final, ref_packed = _maximum_fill(scores, len(x), k_max)
-        for width in FORCE_PATH.values():
-            monkeypatch.setattr(dp_mod, "_FOLD_MIN_WIDTH", width)
+        for fold_shape in FORCE_PATH.values():
+            monkeypatch.setattr(dp_mod, "_fold_shape", fold_shape)
             final, packed = fill_rows(scores, len(x), k_max)
             assert np.array_equal(final, ref_final)
             assert np.array_equal(packed, ref_packed)
@@ -461,7 +467,7 @@ def test_detect_rows_refuse_what_detect_refuses(monkeypatch):
     scores = np.ones((3, 91))
     with pytest.raises(ValidationError, match="at least one occurrence"):
         dp_detect_rows(scores, 10, 0)
-    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", dp_mod.table_bytes(91, 9) - 1)
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", dp_mod.table_bytes(91, 9, 10) - 1)
     with pytest.raises(ValidationError, match="needs"):
         dp_detect_rows(scores, 10, 9)
     monkeypatch.undo()
@@ -471,7 +477,7 @@ def test_detect_rows_refuse_what_detect_refuses(monkeypatch):
 
 
 def _fill_on(path, monkeypatch, caplog, scores, length, k_max):
-    monkeypatch.setattr(dp_mod, "_FOLD_MIN_WIDTH", FORCE_PATH[path])
+    monkeypatch.setattr(dp_mod, "_fold_shape", FORCE_PATH[path])
     caplog.clear()
     with caplog.at_level("DEBUG", logger="dpdetect.dp"):
         final, packed = fill_rows(scores, length, k_max)
@@ -560,7 +566,7 @@ def test_folded_fill_memory_within_table_bytes(n_samples, length, caplog):
     finally:
         tracemalloc.stop()
     assert caplog.records[-1].getMessage().startswith("dp fill chunks")
-    assert peak <= dp_mod.table_bytes(n_pos, k_max)
+    assert peak <= dp_mod.table_bytes(n_pos, k_max, length)
 
 
 def test_detect_rows_hold_the_whole_block_against_the_limit(monkeypatch):
@@ -570,7 +576,7 @@ def test_detect_rows_hold_the_whole_block_against_the_limit(monkeypatch):
         raise AssertionError("fill started for a block over the limit")
 
     scores = np.ones((3, 91))
-    one, block = dp_mod.table_bytes(91, 9), dp_mod.table_bytes(91, 9, rows=3, length=10)
+    one, block = dp_mod.table_bytes(91, 9, 10), dp_mod.table_bytes(91, 9, 10, rows=3)
     assert block == 3 * one  # the row path pads nothing
     monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", block - 1)
     monkeypatch.setattr(dp_mod, "fill_rows", no_fill)
@@ -584,8 +590,8 @@ def test_detect_rows_hold_the_whole_block_against_the_limit(monkeypatch):
 @pytest.mark.parametrize(
     "n_rows, n_pos, length, k",
     # 4 rows of 8192 candidates fold into 342 chunks of 24 cells each; 512
-    # rows of 24 candidates into 2 chunks each, 23 of 48 cells padding.
-    [(4, 8192, 20, 6), (512, 24, 20, 2)],
+    # rows of 30 candidates into 2 chunks each, 17 of 48 cells padding.
+    [(4, 8192, 20, 6), (512, 30, 20, 2)],
 )
 def test_folded_block_memory_within_table_bytes(n_rows, n_pos, length, k, caplog):
     rng = np.random.default_rng(44)
@@ -599,4 +605,31 @@ def test_folded_block_memory_within_table_bytes(n_rows, n_pos, length, k, caplog
         tracemalloc.stop()
     assert caplog.records[-1].getMessage().startswith(f"dp fill chunks: T={n_rows}")
     assert starts.shape == (n_rows, k)
-    assert peak <= dp_mod.table_bytes(n_pos, k, rows=n_rows, length=length)
+    assert peak <= dp_mod.table_bytes(n_pos, k, length, rows=n_rows)
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_pos, path",
+    [
+        (1, 24_551, "rows"),  # 1023 chunks of 24 cells
+        (1, 24_552, "chunks"),  # 1024 chunks, 23 cells of padding
+        (4, 3047, "rows"),  # 4 x 127 chunks
+        (4, 3071, "chunks"),  # 4 x 128 chunks
+        (512, 24, "rows"),  # 1024 chunks, but 23 of each row's 48 cells padding
+        (512, 30, "chunks"),  # 17 of 48 cells padding
+    ],
+)
+def test_table_bytes_counts_the_logged_fill_shape(n_rows, n_pos, path, monkeypatch, caplog):
+    # The B x nb cells that fill_rows logs (M+1 x 1 on the row path) are what
+    # table_bytes counts beyond an unpadded table, at 27 bytes each.
+    length, k_max = 20, 2
+    scores = np.random.default_rng(45).standard_normal((n_rows, n_pos))
+    with caplog.at_level("DEBUG", logger="dpdetect.dp"):
+        fill_rows(scores, length, k_max)
+    words = caplog.records[-1].getMessage().replace(",", "").split()
+    fields = dict(w.split("=") for w in words if "=" in w)
+    assert words[2] == f"{path}:" and int(fields["T"]) == n_rows
+    padding = int(fields["B"]) * int(fields["nb"]) - (n_pos + 1)
+    needed = dp_mod.table_bytes(n_pos, k_max, length, n_rows)
+    monkeypatch.setattr(dp_mod, "_fold_shape", FORCE_PATH["rows"])
+    assert needed - dp_mod.table_bytes(n_pos, k_max, length, n_rows) == 27 * n_rows * padding

@@ -326,7 +326,7 @@ def test_over_limit_table_refused_before_any_null_score(monkeypatch):
         raise AssertionError("a null was scored")
 
     monkeypatch.setattr(gap_mod, "correlation_scores", no_scores)
-    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", dp_mod.table_bytes(91, 9) - 1)
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", dp_mod.table_bytes(91, 9, 10) - 1)
     y = np.random.default_rng(69).standard_normal(100)
     with pytest.raises(ValidationError, match="DP table .* above the limit"):
         estimate_k(y, rect_template(10), GapConfig(k_max=9, perms=5, seed=0), "dp")

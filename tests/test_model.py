@@ -108,7 +108,6 @@ def test_types_are_immutable():
 
 
 def test_detection_result_checks_k_hat():
+    assert DetectionResult(PlacementSet([0, 4], 2), 1.0, "dp").k_hat == 2
     with pytest.raises(ValidationError):
-        DetectionResult(PlacementSet([0], 2), 1.0, "dp", k_hat=2)
-    with pytest.raises(ValidationError):
-        DetectionResult(PlacementSet([0], 2), 1.0, "nope", k_hat=1)
+        DetectionResult(PlacementSet([0], 2), 1.0, "nope")
