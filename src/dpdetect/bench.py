@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,9 +45,8 @@ from .dp import dp_detect_rows
 from .gap import GapConfig, estimate_k
 from .greedy import block_rows, separated_peaks
 from .metrics import score_rows
-from .model import METHODS, DetectError, ValidationError, check_seed
+from .model import METHODS, DetectError, ValidationError
 from .synth import (
-    SEPARATIONS,
     StreamDraws,
     SynthConfig,
     pcg64_states,
@@ -71,16 +69,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 K_MODES = ("known", "gap")
-# Largest N a sweep runs convex at without allow_slow_convex: the N whose
-# trial costs what the paper's geometry (N = 300, L = 30) cost when it set
-# the limit. Mean run_sweep convex trial, K = 6, L = N/10, sigma2 0.5-3, 60
-# trials, best of 2, one BLAS thread, 2-core Xeon, with the free-set polish
-# of each bisection step (convex._polish): 6.5-8.2 ms at N=300, 9.8 at
-# N=400, 16.9-17.4 at N=600 and 21.0-24.2 at N=800. Without it the same
-# trials took 21.7 ms at N=300, when the limit was 300; before the
-# duality-gap stop (convex._certify) they took 80.0-92.4 ms at N=300, when
-# it was 200.
-_CONVEX_N_LIMIT = 800
 
 
 @dataclass(frozen=True)
@@ -105,15 +93,12 @@ class BenchConfig:
     k_max: int | None = None
     perms: int = 50
     seed: int = 0
-    allow_slow_convex: bool = False
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if not self.sigma2_grid:
             raise ValidationError("sigma2 grid must be non-empty")
-        if any(not math.isfinite(s) or s < 0 for s in self.sigma2_grid):
-            raise ValidationError("sigma2 grid entries must be finite and non-negative")
         if not self.methods:
             raise ValidationError("need at least one method")
         unknown = set(self.methods) - METHODS
@@ -121,8 +106,11 @@ class BenchConfig:
             raise ValidationError(f"unknown methods {sorted(unknown)}")
         if len(set(self.methods)) < len(self.methods):
             raise ValidationError(f"methods repeat: {list(self.methods)}")
-        if self.separation not in SEPARATIONS:
-            raise ValidationError(f"unknown separation {self.separation!r}")
+        if self.k_mode not in K_MODES:
+            raise ValidationError(f"unknown k_mode {self.k_mode!r}")
+        # The trials' own configs refuse what would fail every trial.
+        for sigma2 in self.sigma2_grid:
+            SynthConfig(self.n_samples, self.length, self.k, sigma2, self.separation, self.seed)
         if self.length_hat is not None and self.length_hat < 1:
             raise ValidationError("length_hat must be >= 1")
         if self.length_hat is not None and self.length_hat > self.n_samples:
@@ -130,27 +118,10 @@ class BenchConfig:
                 f"length_hat {self.length_hat} exceeds n_samples {self.n_samples}: "
                 "no detector template fits in a measurement"
             )
-        if self.k_mode not in K_MODES:
-            raise ValidationError(f"unknown k_mode {self.k_mode!r}")
-        if (
-            "convex" in self.methods
-            and self.n_samples > _CONVEX_N_LIMIT
-            and not self.allow_slow_convex
-        ):
-            raise ValidationError(
-                f"convex method is limited to N <= {_CONVEX_N_LIMIT} by default "
-                "(set allow_slow_convex to override)"
-            )
-        # Each of these would fail every trial of the sweep.
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
-        if not 1 <= self.length <= self.n_samples:
-            raise ValidationError(f"length {self.length} outside 1..n_samples {self.n_samples}")
-        if self.perms < 1:
-            raise ValidationError("perms must be >= 1")
-        if self.k_max is not None and self.k_max < 1:
-            raise ValidationError("k_max must be >= 1")
-        check_seed(self.seed)
+        # Known-count trials build no GapConfig: an unset k_max checks as 1, so
+        # the null curves' byte limit refuses no known-count geometry.
+        known = self.k_mode == "known" and self.k_max is None
+        GapConfig(1 if known else self.gap_k_max, self.perms, self.seed)
         # The sweep seeds its trials' generators as a block (pcg64_states).
         last = self.seed + len(self.sigma2_grid) * self.trials - 1
         if last >= 1 << 128:
@@ -159,6 +130,11 @@ class BenchConfig:
     @property
     def detector_length(self) -> int:
         return self.length if self.length_hat is None else self.length_hat
+
+    @property
+    def gap_k_max(self) -> int:
+        """The gap statistic's ``k_max``: as set, else ``n_samples // detector_length``."""
+        return self.n_samples // self.detector_length if self.k_max is None else self.k_max
 
 
 @dataclass(frozen=True)
@@ -183,7 +159,7 @@ class BenchRecord:
     n_samples: int
 
 
-def _detect(method, ys, scores, out, cfg: BenchConfig, x, sigma2, k_max, seeds) -> dict:
+def _detect(method, ys, scores, out, cfg: BenchConfig, x, sigma2, seeds) -> dict:
     """Write ``method``'s starts for a block of trials into ``out``; return its failures.
 
     ``ys`` is the block's ``(T, N)`` measurements and ``out`` the method's
@@ -210,7 +186,7 @@ def _detect(method, ys, scores, out, cfg: BenchConfig, x, sigma2, k_max, seeds) 
             if method == "convex":
                 found = convex_detect(y, x, cfg.k, ConvexConfig(sigma2=sigma2))
             else:
-                gap_cfg = GapConfig(k_max=k_max, perms=cfg.perms, seed=seeds[row])
+                gap_cfg = GapConfig(k_max=cfg.gap_k_max, perms=cfg.perms, seed=seeds[row])
                 found = estimate_k(y, x, gap_cfg, detector=method)[1]
         except DetectError as exc:
             failed[row] = exc
@@ -254,14 +230,16 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
     """
     true_template = rect_template(cfg.length)
     x = rect_template(cfg.detector_length)
-    k_max = cfg.n_samples // x.length if cfg.k_max is None else cfg.k_max
-    # Padded width of a method's starts: a gap-mode count can reach k_max.
-    width = cfg.k if cfg.k_mode == "known" else max(cfg.k, k_max)
+    n_pos = cfg.n_samples - x.length + 1
+    # Padded width of a method's starts: a gap-mode count can reach k_max,
+    # but no detection returns more than ceil(M / L) starts.
+    width = cfg.k
+    if cfg.k_mode == "gap":
+        width = min(max(cfg.k, cfg.gap_k_max), -(-n_pos // x.length))
     # Known-count dp and greedy share one score row per trial.
     shared_scores = cfg.k_mode == "known" and not {"dp", "greedy"}.isdisjoint(cfg.methods)
     # random_detect's sampler
     random_cfg = SynthConfig(n_samples=cfg.n_samples, length=x.length, k=cfg.k, sigma2=0.0)
-    n_pos = cfg.n_samples - x.length + 1
     block = block_rows(n_pos)
     draws = StreamDraws()
     normal = draws.generator.standard_normal
@@ -312,9 +290,7 @@ def run_sweep(cfg: BenchConfig) -> list[BenchRecord]:
                     if drawn:
                         est[m, list(drawn), -cfg.k :] = list(drawn.values())
                 else:
-                    failed = _detect(
-                        method, ys, scores, est[m], cfg, x, sigma2, k_max, block_seeds
-                    )
+                    failed = _detect(method, ys, scores, est[m], cfg, x, sigma2, block_seeds)
                 for row, exc in failed.items():
                     log.warning(
                         "trial %d method %s failed (%s); scoring as empty",

@@ -223,16 +223,16 @@ def check_table(n_samples: int, length: int, k_max: int, rows: int = 1) -> int:
         )
     n_pos = n_samples - length + 1
     needed = table_bytes(n_pos, k_max, length, rows)
-    _check_limit(f"{rows} DP tables" if rows > 1 else "DP table", n_pos, k_max, needed)
+    tables = f"{rows} DP tables" if rows > 1 else "DP table"
+    check_limit(f"{tables} for M={n_pos} candidates and k_max={k_max}", needed)
     return n_pos
 
 
-def _check_limit(what: str, n_pos: int, k_max: int, needed: int) -> None:
+def check_limit(what: str, needed: int) -> None:
     """Refuse ``needed`` bytes for ``what`` above :data:`TABLE_BYTES_LIMIT`."""
     if TABLE_BYTES_LIMIT is not None and needed > TABLE_BYTES_LIMIT:
         raise ValidationError(
-            f"{what} for M={n_pos} candidates and k_max={k_max} needs "
-            f"{needed} bytes, above the limit of {TABLE_BYTES_LIMIT} bytes "
+            f"{what} needs {needed} bytes, above the limit of {TABLE_BYTES_LIMIT} bytes "
             "(a quarter of physical memory, or of the cgroup's memory limit if lower)"
         )
 
@@ -466,7 +466,7 @@ def final_rows_block(n_pos: int, length: int, k_max: int, columns: int) -> int:
         return columns
     slots = min(length, n_pos + 1)
     column_bytes = 8 * (n_pos + slots * (k_max + 1) + k_max)
-    _check_limit("one final-row column", n_pos, k_max, column_bytes)
+    check_limit(f"one final-row column for M={n_pos} candidates and k_max={k_max}", column_bytes)
     return min(TABLE_BYTES_LIMIT // column_bytes, columns)
 
 

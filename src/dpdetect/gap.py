@@ -34,7 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dp import check_table, dp_detect, dp_final_rows, final_rows_block
+from .dp import check_limit, check_table, dp_detect, dp_final_rows, final_rows_block
 from .greedy import block_rows, greedy_detect, separated_peaks
 from .model import (
     InfeasibleError,
@@ -65,7 +65,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GapConfig:
-    """Candidate range ``1..k_max``, permutation count and null seed."""
+    """Candidate range ``1..k_max``, permutation count and null seed; refuses
+    curves (``8 * (perms + 1) * k_max`` bytes) above the DP table limit."""
 
     k_max: int
     perms: int = 50
@@ -75,8 +76,12 @@ class GapConfig:
         if self.k_max < 1:
             raise ValidationError("k_max must be >= 1")
         if self.perms < 1:
-            raise ValidationError("need at least one permutation")
+            raise ValidationError("perms must be >= 1")
         check_seed(self.seed)
+        check_limit(
+            f"gap curve block of {self.perms + 1} rows and k_max={self.k_max}",
+            8 * (self.perms + 1) * self.k_max,
+        )
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,6 @@ class GapCurve:
     null_mean: np.ndarray
     null_std: np.ndarray
     gap: np.ndarray
-    perms: int
-    k_max: int
-    method: str
 
 
 def permute_measurement(y, rng: np.random.Generator) -> Measurement:
@@ -119,9 +121,10 @@ def _greedy_curves(rows, length: int, k_max: int) -> np.ndarray:
 def _curves(y, x, cfg, detector):
     """Objective curve of the data (row 0) and of each permutation, in order."""
     # Independent per-permutation streams; reduction order fixed by index.
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.perms)
+    # Each child is spawned as it is scored: the children of spawn(perms).
+    spawn = np.random.SeedSequence(cfg.seed).spawn
     measurements = chain(
-        [y], (permute_measurement(y, np.random.default_rng(c)) for c in children)
+        [y], (permute_measurement(y, np.random.default_rng(*spawn(1))) for _ in range(cfg.perms))
     )
     n_rows = cfg.perms + 1
     curves = np.empty((n_rows, cfg.k_max))
@@ -193,9 +196,6 @@ def gap_curve(y, x, cfg: GapConfig, detector: str = "dp") -> GapCurve:
         null_mean=null_mean,
         null_std=null_std,
         gap=gap,
-        perms=cfg.perms,
-        k_max=cfg.k_max,
-        method=detector,
     )
 
 

@@ -51,7 +51,8 @@ def separated_peaks(values, length: int, k: int):
 
     ``values`` is a ``(T, M)`` block of rows. Each pick takes every row's
     ``argmax`` at once (ties go to the lowest index) and blocks the indices
-    ``s - (length-1) .. s + (length-1)`` around it. Returns ``(picks,
+    ``s - (length-1) .. s + (length-1)`` around it; no row holds more than
+    ``ceil(M / length)`` picks, so it stops there. Returns ``(picks,
     saturated)``: a ``(T, k)`` int64 array of picks in selection order, -1
     past a row's last pick, and a ``(T,)`` bool array set for the rows in
     which every remaining index was blocked before ``k`` picks. A 1-D
@@ -70,8 +71,10 @@ def separated_peaks(values, length: int, k: int):
     # Flat indices of the window around index 0 of each row.
     windows = np.arange(n_rows)[:, np.newaxis] * masked.shape[1] + np.arange(1 - length, length)
     flat = masked.reshape(-1)
-    picks = np.zeros((n_rows, k), dtype=np.int64)
-    for i in range(k):
+    fit = min(k, -(-n_pos // length))
+    # A block keeps k columns; those past fit stay blocked.
+    picks = np.zeros((n_rows, k if values.ndim > 1 else fit), dtype=np.int64)
+    for i in range(fit):
         s = masked.argmax(axis=1)
         if not np.count_nonzero(s):  # every row's argmax is in its left pad
             break
@@ -83,7 +86,7 @@ def separated_peaks(values, length: int, k: int):
     saturated = np.logical_or.reduce(blocked, axis=1)
     picks = np.where(blocked, -1, picks - pad)
     if values.ndim == 1:
-        return [s for s in picks[0].tolist() if s >= 0], bool(saturated[0])
+        return [s for s in picks[0].tolist() if s >= 0], bool(saturated[0]) or k > fit
     return picks, saturated
 
 

@@ -80,10 +80,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.length < 1 or self.n_samples < self.length:
-            raise ValidationError("need n_samples >= length >= 1")
+        if not 1 <= self.length <= self.n_samples:
+            raise ValidationError(f"length {self.length} outside 1..n_samples {self.n_samples}")
         if self.k < 1:
-            raise ValidationError("need at least one occurrence")
+            raise ValidationError("k must be >= 1")
         if not math.isfinite(self.sigma2) or self.sigma2 < 0:
             raise ValidationError("noise variance must be finite and non-negative")
         if self.separation not in SEPARATIONS:

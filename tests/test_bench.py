@@ -104,35 +104,15 @@ def test_gap_mode_runs():
     assert all(r.k_mode == "gap" for r in records)
 
 
-def test_convex_requires_small_n_by_default():
-    limit = bench_mod._CONVEX_N_LIMIT
-    with pytest.raises(ValidationError):
-        BenchConfig(
-            n_samples=limit + 1,
-            length=30,
-            k=3,
-            sigma2_grid=(1.0,),
-            methods=("dp", "convex"),
-        )
+def test_convex_sweep_has_no_size_limit():
+    # A sweep puts no size limit on convex: N = 801 runs like N = 75.
     cfg = BenchConfig(
-        n_samples=limit + 1,
-        length=30,
-        k=3,
-        sigma2_grid=(1.0,),
-        methods=("dp", "convex"),
-        allow_slow_convex=True,
+        n_samples=801, length=80, k=3, sigma2_grid=(0.5,), trials=1,
+        methods=("convex",), seed=2,
     )
-    assert "convex" in cfg.methods
-
-
-def test_convex_limit_boundary_admits_the_paper_geometry():
-    limit = bench_mod._CONVEX_N_LIMIT
-    assert limit >= 300  # N = 300, L = 30 runs convex by default
-    base = dict(length=30, k=3, sigma2_grid=(1.0,), methods=("dp", "convex"))
-    assert BenchConfig(n_samples=limit, **base).n_samples == limit
-    with pytest.raises(ValidationError, match=f"limited to N <= {limit}"):
-        BenchConfig(n_samples=limit + 1, **base)
-    assert BenchConfig(n_samples=limit + 1, allow_slow_convex=True, **base).n_samples == limit + 1
+    records = run_sweep(cfg)
+    assert [(r.method, r.trials, r.n_samples) for r in records] == [("convex", 1, 801)]
+    assert records == reference_sweep(cfg)[0]
 
 
 def _assert_csv(path, records, x="sigma2"):

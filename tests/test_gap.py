@@ -326,6 +326,9 @@ def test_over_limit_table_refused_before_any_null_score(monkeypatch):
         raise AssertionError("a null was scored")
 
     monkeypatch.setattr(gap_mod, "correlation_scores", no_scores)
+    # M = 1, k_max = 600 below. Its config is built first: its 3 x 600 curves
+    # fit neither limit.
+    gcfg = GapConfig(k_max=600, perms=2, seed=0)
     monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", dp_mod.table_bytes(91, 9, 10) - 1)
     y = np.random.default_rng(69).standard_normal(100)
     with pytest.raises(ValidationError, match="DP table .* above the limit"):
@@ -333,7 +336,28 @@ def test_over_limit_table_refused_before_any_null_score(monkeypatch):
     # M = 1, k_max = 600: the 2 x 601-cell table fits, one null column does not.
     monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 2 * 601 * 9)
     with pytest.raises(ValidationError, match="one final-row column .* above the limit"):
-        estimate_k(y[:10], rect_template(10), GapConfig(k_max=600, perms=2, seed=0), "dp")
+        estimate_k(y[:10], rect_template(10), gcfg, "dp")
+
+
+def test_over_limit_curves_refused_before_any_permutation_is_spawned(monkeypatch):
+    spawned = []
+
+    class Spy(np.random.SeedSequence):
+        def spawn(self, n):
+            spawned.append(n)
+            return super().spawn(n)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Spy)
+    # 8 * 6 * 9 bytes of curves: one byte over the limit is refused.
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 8 * 6 * 9 - 1)
+    with pytest.raises(ValidationError, match="gap curve block of 6 rows and k_max=9 needs 432"):
+        GapConfig(k_max=9, perms=5, seed=0)
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 8 * 6 * 9)
+    gcfg = GapConfig(k_max=9, perms=5, seed=0)
+    assert spawned == []
+    y = np.random.default_rng(69).standard_normal(100)
+    gap_curve(y, rect_template(10), gcfg, "greedy")
+    assert spawned == [1] * 5  # one child per permutation, as it is scored
 
 
 def test_data_table_and_null_block_never_alive_together():

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dpdetect import (
+    ConvexConfig,
     SynthConfig,
     ValidationError,
+    convex_detect,
     dp_detect,
     greedy_detect,
     greedy_path,
@@ -149,3 +153,27 @@ def test_block_peaks_match_per_row_reference():
             assert separated_peaks(values[t], length, k) == (expected, full)
             saturated_rows += full
     assert saturated_rows > 100
+
+
+def test_count_past_what_fits_allocates_only_what_fits():
+    # No more than ceil(M / L) starts fit, so k = 10**11 gives the k = M result
+    # without a (1, k) pick array; convex picks its starts the same way.
+    x = rect_template(15)
+    y, _ = synthesize(SynthConfig(n_samples=150, length=15, k=3, sigma2=0.5, seed=1), x)
+    n_pos = y.length - x.length + 1
+    detectors = {
+        "greedy": lambda k: greedy_detect(y, x, k),
+        "convex": lambda k: convex_detect(y, x, k, ConvexConfig(sigma2=0.5)),
+    }
+    for name, detect in detectors.items():
+        expected = detect(n_pos)
+        assert expected.saturated, name
+        tracemalloc.start()
+        try:
+            result = detect(10**11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, name
+        assert np.array_equal(result.placements.starts, expected.placements.starts), name
+        assert (result.objective, result.saturated) == (expected.objective, True), name
