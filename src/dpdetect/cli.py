@@ -25,15 +25,16 @@ from .convex import ConvexConfig, convex_detect_full
 from .dp import dp_detect
 from .gap import GapConfig, estimate_k, gap_curve
 from .greedy import greedy_detect, random_detect
-from .model import DetectError, ValidationError, check_seed
+from .model import DetectError, ValidationError, check_fits, check_seed
 from .synth import SynthConfig, rect_template, synthesize
 from .whiten import estimate_psd, whiten
 
 _SEP_CHOICES = {"arbitrary": "arbitrary", "well": "well_separated"}
 
 
-def _template_from_args(args):
+def _template_from_args(args, n_samples: int):
     if getattr(args, "rect", None) is not None:
+        check_fits(n_samples, args.rect)  # before the template is allocated
         return rect_template(args.rect)
     if getattr(args, "template", None):
         return io_mod.read_template(args.template)
@@ -84,7 +85,7 @@ def cmd_gen(args) -> int:
 
 def cmd_detect(args) -> int:
     y = io_mod.read_measurement(args.infile)
-    template = _template_from_args(args)
+    template = _template_from_args(args, y.length)
     extra = None
     if args.estimate_k:
         if args.method not in ("dp", "greedy"):
@@ -116,7 +117,7 @@ def _require_k(args) -> int:
 
 def cmd_gapcurve(args) -> int:
     y = io_mod.read_measurement(args.infile)
-    template = _template_from_args(args)
+    template = _template_from_args(args, y.length)
     cfg = GapConfig(k_max=args.kmax, perms=args.perms, seed=args.seed)
     curve = gap_curve(y, template, cfg, detector=args.detector)
     lines = ["K,actual,null_mean,gap"]

@@ -26,23 +26,28 @@ count. Long rows are folded into chunks of ``B >= L`` cells, cell
 call advances every chunk by one cell: the best value before each chunk
 is carried into its first cell (a reduce over the chunk, then a running
 maximum over the ``nb`` chunks), and ``B - 1`` vectorized ``fmax`` calls
-close all chunks at once. Both paths make the same adds and take exact
-maxima, so they agree bit for bit. One choice bit per cell records
-whether the "place" branch won strictly; ties prefer the "skip" branch,
-which keeps the backtracked solution deterministic (among optima, the
-earliest improving position is kept at every level). Each count's choice
-rows are packed eight cells to a byte, in natural cell order on either
-path, and kept, together with each row's last cell, the optimum
-``best[M][j]``. The one backtrack, :func:`backtrack_rows`, reads one
-packed row per placement, backwards from each row's current position,
-for all rows at once.
+close all chunks at once. The fold runs in tiles of chunk columns small
+enough to stay in the L2 cache, each tile through every count; per count,
+the running maximum and the previous count's last chunk column carry into
+the next tile. Both paths make the same adds and take exact maxima, so
+they agree bit for bit. One choice bit per cell records whether the
+"place" branch won strictly; ties prefer the "skip" branch, which keeps
+the backtracked solution deterministic (among optima, the earliest
+improving position is kept at every level). Each count's choice rows are
+packed eight cells to a byte, in natural cell order on either path, and
+kept, together with each row's last cell, the optimum ``best[M][j]``.
+Counts past what fits in ``M`` candidates are rows of -inf without a set
+bit, and neither path runs them. The one backtrack,
+:func:`backtrack_rows`, reads one packed row per placement, backwards from
+each row's current position, for all rows at once.
 
 Per cell the table takes one bit; on top come the scores, the final row
-and the fill's working arrays, under 27 bytes per cell (see
-:func:`table_bytes`). :func:`dp_solve` refuses, before computing any
-score, a table larger than :data:`TABLE_BYTES_LIMIT`, a quarter of
-physical memory, or of the process's cgroup memory limit where that is
-lower.
+and the fill's working arrays: 17 bytes per cell on the row path, and on
+the folded path one tile's arrays and ``L + 1`` float64 carries per count
+and row (see :func:`table_bytes`). :func:`dp_solve` refuses, before
+computing any score, a table larger than :data:`TABLE_BYTES_LIMIT`, a
+quarter of physical memory, or of the process's cgroup memory limit where
+that is lower.
 
 When only the final row is needed, for many score vectors at once,
 :func:`dp_final_rows` runs the same recurrence position-major over a block
@@ -67,6 +72,7 @@ from .model import (
     ValidationError,
     as_measurement,
     as_template,
+    check_fits,
 )
 from .xcorr import correlation_scores
 
@@ -111,6 +117,24 @@ log = logging.getLogger(__name__)
 # 0.99-1.05. run_sweep's blocks above pad at most 6% and fold as before:
 # 0.62-0.80 at T = 90 (folded), 1.03-1.46 at T = 20 (rows).
 _FOLD_MIN_WIDTH = 1024
+
+# _fill_tiled runs the fold in tiles of B * T * w <= _TILE_CELLS cells, so
+# that a tile's three float64 arrays (1.5 MiB) stay in the 2 MiB L2 cache
+# while it runs every count. Best of 3 to 7 calls, one process, 2-core Xeon,
+# numpy 2.4, ns per cell and count at tiles of 2^14 / 2^15 / 2^16 / 2^17 /
+# 2^18 cells, against the untiled fill: N = 2^19, L = 20, K = 96: 3.0 /
+# 2.3 / 2.1 / 2.5 / 2.6-2.8, untiled 2.9-3.1; L = 64, K = 8 at N = 2^18,
+# 2^19 and 2^20: 2.7-3.1 / 2.7-2.9 / 2.3-2.4 / 2.6-2.7 / 3.0-3.4, untiled
+# 3.0-3.9; N = 2^20, L = 200, K = 8: 2.8-3.0 at every size, untiled 3.7-3.8.
+# The columns split evenly: at N = 2^19, L = 20, K = 96, nine tiles of 2428
+# chunks took 103-107 ms, eight of 2728 and a last of 22 took 106-111 ms.
+#
+# A tile's chunk rows keep at least _FOLD_MIN_WIDTH // 2 cells, since each
+# tile makes about B + 12 numpy calls per count. At N = 2^20 and K = 8, rows
+# of 64 / 128 / 256 / 512 / 1024 cells took 44 / 42-45 / 33-34 / 30 / 29-30
+# ms at L = 500 and 75 / 50 / 37-39 / 34-35 / 33-34 ms at L = 1000, against
+# 31-35 and 34-35 ms untiled.
+_TILE_CELLS = 1 << 16
 
 
 def _cgroup_memory_limit(proc_cgroup="/proc/self/cgroup", root="/sys/fs/cgroup") -> int | None:
@@ -193,19 +217,33 @@ class DpTable:
 def table_bytes(n_pos: int, k_max: int, length: int, rows: int = 1) -> int:
     """Bytes of :func:`fill_rows` on ``rows`` score rows of ``M = n_pos``.
 
-    The packed choice bits, the final row and the float64 scores, plus what
-    :func:`fill_rows` works in per cell: on either path at most two float64
-    rows, a float64 copy of the scores, a bool row, the packed bytes of one
-    count in two orders and the chunk carries, under 27 bytes in all. The
-    cells are the fill's own: ``M+1`` per row, or the ``B * nb`` of the
-    chunks :func:`_fold_shape` pads each row to when the block folds
-    (``length``, the template length, sets ``B``). This is what
-    :func:`check_table` holds against :data:`TABLE_BYTES_LIMIT`.
+    The packed choice bits, the final row and the float64 scores, plus the
+    arrays the fill works in, the bytes its debug line names. On the row
+    path those are two float64 rows and a bool row of ``M+1`` cells per
+    score row, and one count's packed bits. A block that
+    :func:`_fold_shape` folds (``length``, the template length, sets the
+    chunk size ``B``) keeps one tile's arrays (:func:`_tile_width`): the
+    folded scores and two count rows, float64 on 64-byte lines, a bool
+    per cell, one count's packed bytes in two orders and a float64 per
+    chunk; a block of more than one tile adds ``L + 1`` float64 carries
+    per count it runs (those that fit) and row. Either path adds a bound
+    on numpy's buffers and the fill's views (:func:`_scratch_bytes`).
+    This is what :func:`check_table` holds against
+    :data:`TABLE_BYTES_LIMIT`.
     """
     bits = (k_max + 1) * ((n_pos + 8) // 8)
     fold = _fold_shape(rows, n_pos, length)
-    cells = fold[0] * fold[1] if fold else n_pos + 1
-    return rows * (bits + 8 * (k_max + 1 + n_pos) + 27 * cells)
+    held = rows * (bits + 8 * (k_max + 1 + n_pos)) + _scratch_bytes(rows, n_pos, fold)
+    if not fold:
+        return held + rows * (17 * (n_pos + 1) + (n_pos + 8) // 8)
+    height, columns = fold
+    tile = _tile_width(rows, height, columns)
+    cells = height * _chunk_row(rows, tile)
+    work = 25 * cells + cells // 8 + 8 * 40 + rows * tile * (height // 8 + 8)
+    if tile < columns:
+        counts = _counts_filled(n_pos, length, k_max)
+        work += 8 * rows * (counts + 1 + counts * length)
+    return held + work
 
 
 def check_table(n_samples: int, length: int, k_max: int, rows: int = 1) -> int:
@@ -217,10 +255,7 @@ def check_table(n_samples: int, length: int, k_max: int, rows: int = 1) -> int:
     """
     if k_max < 0:
         raise ValidationError("k_max must be non-negative")
-    if n_samples < length:
-        raise ValidationError(
-            f"measurement shorter than template ({n_samples} < {length})"
-        )
+    check_fits(n_samples, length)
     n_pos = n_samples - length + 1
     needed = table_bytes(n_pos, k_max, length, rows)
     tables = f"{rows} DP tables" if rows > 1 else "DP table"
@@ -264,32 +299,57 @@ def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     maxima, so every row equals its own one-row fill bit for bit.
 
     Two paths fill the same cells. A block that :func:`_fold_shape` folds
-    runs the folded path (:func:`_fill_folded`), which moves every chunk
-    forward one cell per numpy call; any other runs each count's running
-    maximum along contiguous rows, one serial ``fmax.accumulate``. The
-    ``dpdetect.dp`` logger reports the path, the chunk size and count and
-    the bytes the fill works in at debug level.
+    runs the folded path (:func:`_fill_tiled`), which moves every chunk
+    forward one cell per numpy call, tile by tile; any other runs each
+    count's running maximum along contiguous rows, one serial
+    ``fmax.accumulate``. The ``dpdetect.dp`` logger reports the path, the
+    chunk size and count, the tile width and count and the bytes the fill
+    works in at debug level.
     """
     n_rows, n_pos = scores.shape
     final = np.zeros((n_rows, k_max + 1))
     packed = np.zeros((k_max + 1, n_rows, (n_pos + 8) // 8), dtype=np.uint8)
+    # Counts past what fits are rows of -inf without a set bit; neither path runs them.
+    counts = _counts_filled(n_pos, length, k_max)
+    final[:, counts + 1 :] = -np.inf
+    run = final[:, : counts + 1], packed[: counts + 1]
     fold = _fold_shape(n_rows, n_pos, length)
     if fold:
         height, columns = fold
-        path, work = "chunks", _fill_folded(scores, length, height, columns, final, packed)
+        tile = _tile_width(n_rows, height, columns)
+        path, work = "chunks", _fill_tiled(scores, length, height, columns, tile, *run)
     else:
-        path, work = "rows", _fill_contiguous(scores, length, final, packed)
-        height, columns = n_pos + 1, 1  # one chunk per row
+        path, work = "rows", _fill_contiguous(scores, length, *run)
+        height, columns, tile = n_pos + 1, 1, 1  # one chunk per row
     log.debug(
         "dp fill %s: T=%d, M=%d, k_max=%d, chunks of B=%d cells, nb=%d per row, "
-        "%d working bytes",
-        path, n_rows, n_pos, k_max, height, columns, work + final.nbytes + packed.nbytes,
+        "w=%d per tile, tiles=%d, %d working bytes",
+        path, n_rows, n_pos, k_max, height, columns, tile, -(-columns // tile),
+        work + _scratch_bytes(n_rows, n_pos, fold) + final.nbytes + packed.nbytes,
     )
     return final, packed
 
 
+def _counts_filled(n_pos: int, length: int, k_max: int) -> int:
+    """How many of the counts ``1 .. k_max`` fit in ``M = n_pos`` candidates: those the fill runs."""
+    return min(k_max, (n_pos - 1) // length + 1)
+
+
+def _scratch_bytes(n_rows: int, n_pos: int, fold) -> int:
+    """Bytes a fill allocates beyond its arrays, a bound.
+
+    numpy's ufuncs buffer strided operands: at most ``getbufsize()``
+    elements of each of three float64 operands, and no more than an
+    operand holds. The folded path adds the views of its chunk rows,
+    under 128 bytes each, four per chunk row while one tile's views
+    replace the last's.
+    """
+    buffered = 3 * 8 * min(np.getbufsize(), n_rows * (n_pos + 1))
+    return buffered + (512 * fold[0] if fold else 0)
+
+
 def _fill_contiguous(scores, length: int, final: np.ndarray, packed: np.ndarray) -> int:
-    """The row path of :func:`fill_rows`; returns the bytes of its rows."""
+    """The row path of :func:`fill_rows`; returns the bytes of its rows and of one count's bits."""
     n_rows, n_pos = scores.shape
     prev = np.zeros((n_rows, n_pos + 1))  # rows of count 0
     cur = np.empty((n_rows, n_pos + 1))
@@ -313,80 +373,169 @@ def _fill_contiguous(scores, length: int, final: np.ndarray, packed: np.ndarray)
         packed[j] = np.packbits(placed, axis=1)
         final[:, j] = cur[:, n_pos]
         prev, cur = cur, prev
-    return prev.nbytes + cur.nbytes + placed.nbytes
+    return prev.nbytes + cur.nbytes + placed.nbytes + packed[0].nbytes
 
 
 # Big-endian bit weights: packbits puts the first cell in the top bit.
 _BIT_WEIGHTS = (1 << np.arange(7, -1, -1)).astype(np.uint8)
 
 
-def _fill_folded(
-    scores, length: int, height: int, columns: int, final: np.ndarray, packed: np.ndarray
+def _tile_width(n_rows: int, height: int, columns: int) -> int:
+    """Chunk columns per tile of :func:`_fill_tiled`; the last tile may hold fewer.
+
+    The ``columns`` split evenly into the fewest tiles of at most
+    :data:`_TILE_CELLS` cells (``B * T * w``) each; but every tile's chunk
+    rows hold ``T * w >= 512`` cells, the narrowest a block folds at all.
+    """
+    least = -(-(_FOLD_MIN_WIDTH // 2) // n_rows)
+    width = max(_TILE_CELLS // (height * n_rows), least)
+    tiles = -(-columns // width)
+    return -(-columns // tiles)
+
+
+def _line_aligned(size: int) -> np.ndarray:
+    """An uninitialized float64 array of ``size`` whose first cell starts a 64-byte line.
+
+    numpy promises only 16-byte alignment, and an elementwise call into an
+    output that straddles cache lines runs slower: a 7260-cell add took
+    2.7 us into a 64-byte-aligned output and 4.3-4.9 us at the seven
+    other offsets, 2-core Xeon, numpy 2.4.
+    """
+    spare = np.empty(size + 8)
+    skip = (-spare.ctypes.data % 64) // 8
+    return spare[skip : skip + size]
+
+
+def _chunk_row(n_rows: int, width: int) -> int:
+    """Flat cells of one chunk row of a tile: ``T * w``, padded to a multiple of 8."""
+    return -(-n_rows * width // 8) * 8
+
+
+def _tile_cells(flat: np.ndarray, height: int, row: int, n_rows: int, width: int) -> np.ndarray:
+    """The ``(B, T, w)`` cells of a tile stored as ``B`` chunk rows of ``row`` flat cells."""
+    return flat[: height * row].reshape(height, row)[:, : n_rows * width].reshape(
+        height, n_rows, width
+    )
+
+
+def _fill_tiled(
+    scores, length: int, height: int, columns: int, tile: int,
+    final: np.ndarray, packed: np.ndarray,
 ) -> int:
     """The folded path of :func:`fill_rows`; returns the bytes of its arrays.
 
-    Cell ``n = c*B + i`` of score row ``t`` sits at ``[i, t, c]`` of a
-    ``(B, T, nb)`` array, ``B = height`` and ``nb = columns``; cells past
-    ``M`` pad the last column. Since ``B >= L``, a placement at cell ``n``
-    continues from ``[i-L, t, c]`` when ``i >= L`` and from
-    ``[i-L+B, t, c-1]`` otherwise: two flat adds at fixed offsets, after
-    which column 0, whose cells continue from cell 0, is redone. The
-    running maximum carries first: each chunk's best place value (one
-    reduce over the ``B`` chunk rows), accumulated over the ``nb`` chunks,
-    goes into the first cell of the next chunk, and ``B - 1`` calls of
-    ``fmax`` then close every chunk at once. The choice bits are the same
-    strict comparisons; each column's ``B`` bits pack into ``B/8`` bytes,
-    which are copied back to natural order.
+    Cell ``n = c*B + i`` of score row ``t`` sits in chunk row ``i``, column
+    ``c``, of a fold of ``B = height`` rows and ``nb = columns`` chunks;
+    cells past ``M`` pad the last chunk. The fold runs in tiles of ``w =
+    tile`` chunk columns, and each tile runs every count while its arrays
+    stay in cache. In a tile, cell ``[i, t, c]`` sits at flat cell
+    ``i*R + t*w + c``: the chunk row of ``T*w`` cells is padded to ``R``, a
+    multiple of 8, so that every chunk row starts on a 64-byte line. Since
+    ``B >= L``, a placement at cell ``n`` continues from ``[i-L, t, c]``
+    when ``i >= L`` and from ``[i-L+B, t, c-1]`` otherwise: two flat adds at
+    fixed offsets, after which the tile's column 0 is redone from cell 0 in
+    the first tile, or else from the previous tile's last column, which
+    each count carries. The running maximum carries first: each chunk's
+    best place value (one reduce over the ``B`` chunk rows), accumulated
+    over the tile's chunks, goes into the first cell of the next chunk,
+    and the previous tile's last running maximum, which each count also
+    carries, into the tile's first; ``B - 1`` calls of ``fmax`` then close
+    every chunk at once. The choice bits are the same strict comparisons;
+    each column's ``B`` bits pack into ``B/8`` bytes, which are copied to
+    the tile's own bytes of ``packed``, in natural order. A block of one
+    tile carries nothing.
     """
     n_rows, n_pos = scores.shape
-    width = n_rows * columns  # cells in one chunk row
-    padded = np.zeros((n_rows, columns * height))
-    padded[:, 1 : n_pos + 1] = scores  # cell n places at start n-1
-    by_cell = padded.reshape(n_rows, columns, height)
-    folded = np.empty((height, n_rows, columns))
-    # The transposing copy runs in tiles of 512 columns, which stay in
-    # cache: at B = 64 and 8190 columns it takes a third of one whole copy.
-    for c in range(0, columns, 512):
-        folded[:, :, c : c + 512] = by_cell[:, c : c + 512].transpose(2, 0, 1)
-    del padded, by_cell
-    prev = np.zeros_like(folded)  # count 0
-    cur = np.empty_like(folded)
-    prev_rows, cur_rows = list(prev.reshape(height, width)), list(cur.reshape(height, width))
-    placed = np.zeros(folded.shape, dtype=bool)  # bit 0: the empty prefix places nothing
-    chunk_bytes = np.empty((height // 8, width), dtype=np.uint8)
-    natural = np.empty((n_rows, columns, height // 8), dtype=np.uint8)
-    carry = np.empty((n_rows, columns))
-    # Views: eight chunk rows per byte row, the bytes by column, a row's bytes.
-    byte_rows = placed.view(np.uint8).reshape(height // 8, 8, width)
-    by_column = chunk_bytes.reshape(height // 8, n_rows, columns).transpose(1, 2, 0)
-    natural_rows = natural.reshape(n_rows, -1)[:, : packed.shape[2]]
-
-    flat_scores = folded.reshape(-1)
-    up = length * width  # cells i >= L read this many flat cells back
-    wrap = (height - length) * width - 1  # cells i < L this many ahead
+    k_max = final.shape[1] - 1
+    cells = height * _chunk_row(n_rows, tile)
+    folded = _line_aligned(cells)
+    # One spare line before cell 0: at B == L the wrap add reads cell -1.
+    pair = [_line_aligned(cells + 8), _line_aligned(cells + 8)]
+    for buf in pair:
+        buf[:8] = 0.0
+    placed = np.zeros(cells, dtype=bool)  # bit 0: the empty prefix places nothing
+    chunk_bytes = np.empty(cells // 8, dtype=np.uint8)
+    natural = np.empty(n_rows * tile * height // 8, dtype=np.uint8)
+    peak = np.empty(n_rows * tile)
+    work = [folded, *pair, placed, chunk_bytes, natural, peak]
+    if tile < columns:
+        # Per count: the previous tile's last running maximum, and the last
+        # L cells of each chunk of its last column.
+        reach = np.full((k_max + 1, n_rows), -np.inf)
+        tail = np.empty((k_max, length, n_rows))
+        work += [reach, tail]
     last_cells = n_pos + 1 - (columns - 1) * height  # cells of the last column up to M
-    for j in range(1, final.shape[1]):
-        flat_prev, flat_cur = prev.reshape(-1), cur.reshape(-1)
-        np.add(flat_prev[: folded.size - up], flat_scores[up:], out=flat_cur[up:])
-        np.add(flat_prev[1 + wrap : up + wrap], flat_scores[1:up], out=flat_cur[1:up])
-        np.add(prev[0, :, 0], folded[:length, :, 0], out=cur[:length, :, 0])
-        cur[0, :, 0] = -np.inf
-        np.fmax.reduce(cur, axis=0, out=carry)
-        np.fmax.accumulate(carry, axis=1, out=carry)
-        np.fmax(cur[0, :, 1:], carry[:, :-1], out=cur[0, :, 1:])
-        for above, below in zip(cur_rows, cur_rows[1:]):
-            np.fmax(above, below, out=below)
-        # The place branch won cell n strictly iff the running maximum rose.
-        np.greater(cur[1:], cur[:-1], out=placed[1:])
-        np.greater(cur[0, :, 1:], cur[-1, :, :-1], out=placed[0, :, 1:])
-        placed[last_cells:, :, -1] = False  # padding bits stay zero
-        np.einsum("k,bkw->bw", _BIT_WEIGHTS, byte_rows, out=chunk_bytes)
-        natural[...] = by_column
-        packed[j] = natural_rows
-        final[:, j] = cur[n_pos % height, :, n_pos // height]
-        prev, cur = cur, prev
-        prev_rows, cur_rows = cur_rows, prev_rows
-    return sum(a.nbytes for a in (folded, prev, cur, placed, chunk_bytes, natural, carry))
+
+    for c0 in range(0, columns, tile):
+        w = min(tile, columns - c0)
+        row = _chunk_row(n_rows, w)
+        size = height * row
+        up = length * row  # cells i >= L read this many flat cells back
+        wrap = (height - length) * row - 1  # cells i < L this many ahead
+        sides = [
+            (buf, buf[8 : 8 + size], list(buf[8 : 8 + size].reshape(height, row)),
+             _tile_cells(buf[8:], height, row, n_rows, w))
+            for buf in pair
+        ]
+        s_flat = folded[:size]
+        s3 = _tile_cells(folded, height, row, n_rows, w)
+        # Cell n places at start n-1; the tile holds cells first .. stop-1.
+        first, stop = c0 * height, (c0 + w) * height
+        if first and stop <= n_pos + 1:
+            block = scores[:, first - 1 : stop - 1]
+        else:  # cell 0 or cells past M: stage the scores, zero-padded, in count 1's row
+            block = sides[1][1][: n_rows * w * height].reshape(n_rows, w * height)
+            lo, hi = max(first, 1) - first, min(stop, n_pos + 1) - first
+            block[:, :lo] = block[:, hi:] = 0.0
+            block[:, lo:hi] = scores[:, first + lo - 1 : first + hi - 1]
+        s3[...] = block.reshape(n_rows, w, height).transpose(2, 0, 1)
+        s_flat.reshape(height, row)[:, n_rows * w :] = 0.0  # the padding of each chunk row
+        sides[0][1][...] = 0.0  # count 0
+        tile_peak = peak[: n_rows * w].reshape(n_rows, w)
+        placed3 = _tile_cells(placed, height, row, n_rows, w)
+        byte_rows = placed[:size].view(np.uint8).reshape(height // 8, 8, row)
+        tile_bytes = chunk_bytes[: size // 8].reshape(height // 8, row)
+        by_column = tile_bytes[:, : n_rows * w].reshape(height // 8, n_rows, w).transpose(1, 2, 0)
+        tile_natural = natural[: n_rows * w * height // 8].reshape(n_rows, w, height // 8)
+        b0 = c0 * height // 8
+        b1 = min(b0 + w * height // 8, packed.shape[2])
+        natural_rows = tile_natural.reshape(n_rows, -1)[:, : b1 - b0]
+        more = c0 + w < columns
+
+        for j in range(1, k_max + 1):
+            (p_buf, p_flat, _, p3), (_, c_flat, c_rows, c3) = sides[(j - 1) % 2], sides[j % 2]
+            np.add(p_flat[: size - up], s_flat[up:], out=c_flat[up:])
+            np.add(p_buf[8 + wrap : 8 + wrap + up], s_flat[:up], out=c_flat[:up])
+            if c0:
+                np.add(tail[j - 1], s3[:length, :, 0], out=c3[:length, :, 0])
+            else:
+                np.add(p3[0, :, 0], s3[:length, :, 0], out=c3[:length, :, 0])
+                c3[0, :, 0] = -np.inf
+            if more:
+                tail[j - 1] = p3[height - length :, :, w - 1]
+            np.fmax.reduce(c3, axis=0, out=tile_peak)
+            if c0:
+                np.fmax(tile_peak[:, 0], reach[j], out=tile_peak[:, 0])
+            np.fmax.accumulate(tile_peak, axis=1, out=tile_peak)
+            np.fmax(c3[0, :, 1:], tile_peak[:, :-1], out=c3[0, :, 1:])
+            if c0:
+                np.fmax(c3[0, :, 0], reach[j], out=c3[0, :, 0])
+            for above, below in zip(c_rows, c_rows[1:]):
+                np.fmax(above, below, out=below)
+            # The place branch won cell n strictly iff the running maximum rose.
+            np.greater(c_flat[row:], c_flat[:-row], out=placed[row:size])
+            np.greater(c3[0, :, 1:], c3[-1, :, :-1], out=placed3[0, :, 1:])
+            if c0:
+                np.greater(c3[0, :, 0], reach[j], out=placed3[0, :, 0])
+            if more:
+                reach[j] = tile_peak[:, -1]
+            else:
+                placed3[last_cells:, :, -1] = False  # padding bits stay zero
+                final[:, j] = c3[n_pos % height, :, n_pos // height - c0]
+            np.einsum("k,bkw->bw", _BIT_WEIGHTS, byte_rows, out=tile_bytes)
+            tile_natural[...] = by_column
+            packed[j, :, b0:b1] = natural_rows
+    return sum(a.nbytes if a.base is None else a.base.nbytes for a in work)
 
 
 def dp_solve(y, x, k_max: int) -> DpTable:
@@ -440,12 +589,9 @@ def dp_final_rows(scores, length: int, k_max: int) -> np.ndarray:
     ring[:, 0] = 0.0
     # Slab pairs in visiting order: position n = 1, 2, ... writes slab n % R.
     slabs = [(ring[n % slots, 1:], ring[n % slots, :-1]) for n in range(1, slots + 1)]
-    # Every position writes and reads this scratch slab. numpy promises only
-    # 16-byte alignment, and a slab that straddles cache lines made the sweep
-    # about a quarter slower, so start it on a 64-byte line.
-    spare = np.empty(k_max * width + 8)
-    skip = (-spare.ctypes.data % 64) // 8
-    tmp = spare[skip : skip + k_max * width].reshape(k_max, width)
+    # Every position writes and reads this scratch slab; one that straddled
+    # cache lines made the sweep about a quarter slower.
+    tmp = _line_aligned(k_max * width).reshape(k_max, width)
     prev = ring[0, 1:]
     for s_row, (head, tail) in zip(scores, cycle(slabs)):
         np.add(tail, s_row, out=tmp)

@@ -77,6 +77,12 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
+def check_fits(n_samples: int, length: int) -> None:
+    """Refuse a template longer than the measurement it is matched against."""
+    if n_samples < length:
+        raise ValidationError(f"measurement shorter than template ({n_samples} < {length})")
+
+
 def _frozen_array(values, dtype=float):
     arr = np.array(values, dtype=dtype)  # one copy, from a list or an array
     if arr.ndim != 1:

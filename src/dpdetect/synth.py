@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dp import check_limit
 from .model import (
     InfeasibleError,
     Measurement,
@@ -69,7 +70,8 @@ class SynthConfig:
     """Parameters of one synthetic measurement.
 
     ``separation="arbitrary"`` spaces start indices by at least ``length``;
-    ``"well_separated"`` by at least ``2 * length``.
+    ``"well_separated"`` by at least ``2 * length``. The measurement's
+    float64 samples are held against :data:`dpdetect.dp.TABLE_BYTES_LIMIT`.
     """
 
     n_samples: int
@@ -89,6 +91,7 @@ class SynthConfig:
         if self.separation not in SEPARATIONS:
             raise ValidationError(f"unknown separation {self.separation!r}")
         check_seed(self.seed)
+        check_limit(f"a measurement of N={self.n_samples} samples", 8 * self.n_samples)
 
     @property
     def min_gap(self) -> int:

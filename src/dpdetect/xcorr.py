@@ -15,7 +15,7 @@ import logging
 
 import numpy as np
 
-from .model import ValidationError, as_measurement, as_template
+from .model import ValidationError, as_measurement, as_template, check_fits
 
 __all__ = [
     "correlation_scores_direct",
@@ -79,8 +79,7 @@ def correlation_rows(ys, x, method: str = "auto") -> np.ndarray:
         raise ValidationError(f"expected a (T, N) block of rows, got shape {ys.shape}")
     x = as_template(x)
     n, length = ys.shape[1], x.length
-    if n < length:
-        raise ValidationError(f"measurement shorter than template ({n} < {length})")
+    check_fits(n, length)
     direct_cost = (n - length + 1) * length
     log_nfft = (n + length - 2).bit_length()
     fft_cost = log_nfft << log_nfft

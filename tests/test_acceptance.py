@@ -217,15 +217,17 @@ def test_c07_convex_detector():
 def test_c08_dp_runtime_scaling():
     rng = np.random.default_rng(1009)
     x = rng.standard_normal(64)
-    # Sizes large enough that each timing (about 7 ms and up) stands well
-    # above scheduler jitter, and the best of 7 calls per size. A float64
-    # row passes the 2 MiB L2 cache between 2^17 and 2^18 samples, where
-    # the fill's cost per cell steps up; the direct correlation steps up
-    # between 2^19 and 2^20. One BLAS thread, 2-core Xeon: fill 2.7 ns per
-    # cell at 2^17, then 3.1, 3.0 and 2.9 ns at 2^18, 2^19 and 2^20; scores
-    # 19-22 ns per sample up to 2^19 and 26-28 ns at 2^20. So the DP (fill
-    # and backtrack) is timed alone, on scores computed beforehand, at sizes
-    # that all lie past the fill's step: each ratio measures the doubling.
+    # Sizes large enough that each timing (about 5 ms and up) stands well
+    # above scheduler jitter, and the best of 7 calls per size. The fill
+    # runs in tiles of about 2^16 cells, which stay in the 2 MiB L2 cache,
+    # so its cost per cell holds once a row makes more than one tile; the
+    # direct correlation steps up between 2^19 and 2^20. One BLAS thread,
+    # 2-core Xeon, best of 7: fill 3.1-3.4 ns per cell and count at 2^16
+    # (one tile), then 2.5, 2.4, 2.3-2.4 and 2.2 ns at 2^17, 2^18, 2^19 and
+    # 2^20 (untiled: 3.3-3.5, 3.7-3.8, 3.7 and 3.3-3.8 ns); scores 19-22 ns
+    # per sample up to 2^19 and 26-28 ns at 2^20. So the DP (fill and
+    # backtrack) is timed alone, on scores computed beforehand, at sizes
+    # that all run several tiles: each ratio measures the doubling.
     # The sizes take turns, so a change in the host's speed during the test
     # reaches every size's best call alike.
     sizes = (1 << 18, 1 << 19, 1 << 20)

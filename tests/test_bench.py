@@ -516,8 +516,9 @@ def test_sweep_refuses_a_non_finite_measurement(monkeypatch):
 
 
 def test_sweep_failures_equal_reference_when_every_dp_table_is_refused(monkeypatch, caplog):
+    # The limit admits the 300-sample measurements (2400 bytes) and no DP table.
     cfg = BenchConfig(k=6, sigma2_grid=(0.5, 2.0), seed=3, **PAPER)
-    monkeypatch.setattr("dpdetect.dp.TABLE_BYTES_LIMIT", 1000)
+    monkeypatch.setattr("dpdetect.dp.TABLE_BYTES_LIMIT", 4000)
     records, failed = reference_sweep(cfg)
     with caplog.at_level("WARNING", logger="dpdetect.bench"):
         assert run_sweep(cfg) == records

@@ -235,6 +235,37 @@ def test_negative_seed_refused(args, noiseless, tmp_path, capsys):
     assert not list(tmp_path.glob("out*"))
 
 
+_HUGE = 100_000_000_000
+_TOO_LONG = f"measurement shorter than template (300 < {_HUGE})"
+_TOO_MANY = f"a measurement of N={_HUGE} samples needs {8 * _HUGE} bytes, above the limit of "
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["detect", "--rect", _HUGE, "--method", "greedy", "--k", 2], _TOO_LONG),
+        (["gapcurve", "--rect", _HUGE, "--kmax", 3], _TOO_LONG),
+        (["gen", "--n", _HUGE, "--l", 30, "--k", 6], _TOO_MANY),
+        (["bench", "--n", _HUGE, "--l", 30, "--k", 6, "--trials", 1, "--sigma2-grid", 1],
+         _TOO_MANY),
+    ],
+    ids=["detect-rect", "gapcurve-rect", "gen", "bench"],
+)
+def test_measurement_sized_arrays_refused_before_allocation(
+    args, message, noiseless, tmp_path, capsys, monkeypatch
+):
+    # A 745 GiB template or noise row: one validation line, not a numpy
+    # allocation error.
+    monkeypatch.setattr("dpdetect.dp.TABLE_BYTES_LIMIT", 1 << 30)
+    meas, _ = noiseless
+    if args[0] in ("detect", "gapcurve"):
+        args = [*args, "--in", meas]
+    assert run([*args, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error:validation: {message}") and err.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_bench_gap_mode_without_permutations_refused(tmp_path, capsys):
     # Every trial's count estimate would fail: refused before any trial runs.
     out = tmp_path / "x.csv"

@@ -230,12 +230,19 @@ def test_table_larger_than_limit_fails_before_allocating(monkeypatch):
 
 def test_limit_admits_wide_tables_at_one_bit_per_cell(monkeypatch):
     # M = 1e5, k_max = 3000: 37.5 MB of choice bits, where a float64 and a
-    # bool per cell took 2.70e9 bytes. The fill works in under 27 bytes per
-    # cell, its 100_001 cells padded to 4167 chunks of 24.
+    # bool per cell took 2.70e9 bytes. The 100_001 cells fold into 4167
+    # chunks of 24, filled in two tiles of 2084 chunks. The fill works in one
+    # tile's 24 x 2088 cells (25 bytes and a packed bit each, and 320 bytes
+    # of alignment), 11 bytes per chunk of a tile, 21 float64 carries per
+    # count, and at most 3 x 8192 float64 of numpy's buffers and 512 bytes
+    # of views per chunk row.
     monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 64 << 20)
     assert dp_mod.check_table(100_019, 20, 3000) == 100_000
+    tile = 24 * 2088
     assert dp_mod.table_bytes(100_000, 3000, 20) == (
-        3001 * 12_501 + 8 * (3001 + 100_000) + 27 * 4167 * 24
+        3001 * 12_501 + 8 * (3001 + 100_000)
+        + 25 * tile + tile // 8 + 320 + 11 * 2084 + 8 * (3001 + 3000 * 20)
+        + 3 * 8 * 8192 + 512 * 24
     )
 
 
@@ -532,26 +539,85 @@ def test_fill_paths_match_pointer_dp_and_each_other_bit_for_bit(monkeypatch, cap
         assert np.array_equal(f_rows, f_chunks) and np.array_equal(p_rows, p_chunks)
 
 
+def _tiled_case(rng, trial):
+    """Scores of a (T, M) block for small tiles: T = 1 and T > 1, B == L, L = 1, M <= L."""
+    length = [1, 7, 8, 20, 24, 33][trial % 6]  # B == L at 8 and 24
+    height = -(-length // 8) * 8
+    rows = 1 if trial % 2 else int(rng.integers(2, 4))
+    if trial % 7 == 0:
+        n_pos = int(rng.integers(1, length + 1))  # M <= L: one tile
+    else:
+        n_pos = int(rng.integers(8 * height, 30 * height))  # a ragged last tile, mostly
+    kind = trial % 3
+    if kind == 0:  # small integers: tied scores and tied optima
+        return rng.integers(-2, 3, (rows, n_pos)).astype(float), length
+    if kind == 1:  # sparse spikes: long runs without a set bit
+        return (rng.random((rows, n_pos)) < 0.04).astype(float), length
+    return rng.standard_normal((rows, n_pos)), length
+
+
+@pytest.mark.parametrize("tile_cells", [1, 400])
+def test_tiles_match_pointer_dp_and_row_path_bit_for_bit(tile_cells, monkeypatch, caplog):
+    # Small tiles run small blocks in many, so that both carries cross every
+    # tile boundary: tiles of 3 to 8 chunk columns at tile_cells = 1, and of
+    # up to 50 at 400 (72 and 41 of the 84 blocks run more than one tile).
+    # _FOLD_MIN_WIDTH sets the narrowest chunk row of a tile.
+    rng = np.random.default_rng(46)
+    many = 0
+    for trial in range(84):
+        scores, length = _tiled_case(rng, trial)
+        n_rows, n_pos = scores.shape
+        k_max = int(rng.integers(0, 8))  # k_max = 0 and counts past what fits
+        monkeypatch.setattr(dp_mod, "_TILE_CELLS", tile_cells)
+        monkeypatch.setattr(dp_mod, "_FOLD_MIN_WIDTH", 16)
+        final, packed = _fill_on("chunks", monkeypatch, caplog, scores, length, k_max)
+        many += int(caplog.records[-1].getMessage().split("tiles=")[1].split(",")[0]) > 1
+        f_rows, p_rows = _fill_on("rows", monkeypatch, caplog, scores, length, k_max)
+        assert np.array_equal(final, f_rows) and np.array_equal(packed, p_rows)
+        bits = np.unpackbits(packed, axis=2)
+        assert not bits[:, :, n_pos + 1 :].any()  # zero padding bits
+        pointer = [pointer_dp(row, length, k_max) for row in scores]
+        for t, (best, choice) in enumerate(pointer):
+            assert np.array_equal(final[t], best[-1])
+            assert np.array_equal(bits[:, t, : n_pos + 1].astype(bool), choice.T)
+        for k in range(1, k_max + 1):
+            if np.isfinite(final[:, k]).all():
+                starts = backtrack_rows(packed, n_pos, length, k)
+                assert starts.tolist() == [pointer_backtrack(c, length, k) for _, c in pointer]
+    assert many >= 40
+
+
 def test_fill_debug_line_names_path_and_geometry(caplog):
     # 6000 samples fold into 250 chunks of 24 cells, below the cutover;
-    # 2^16 into 2730, above it.
+    # 2^16 into 2730, above it, in one tile of 65_520 cells; 2^18 into 10_922
+    # chunks, in five tiles of 2185.
     x = np.ones(20)
     with caplog.at_level("DEBUG", logger="dpdetect.dp"):
         dp_solve(np.ones(6000), x, 3)
         dp_solve(np.ones(1 << 16), x, 3)
+        dp_solve(np.ones(1 << 18), x, 3)
     lines = [r.getMessage() for r in caplog.records if r.name == "dpdetect.dp"]
     assert lines[0].startswith(
         "dp fill rows: T=1, M=5981, k_max=3, chunks of B=5982 cells, nb=1 per row, "
+        "w=1 per tile, tiles=1, "
     )
     assert lines[1].startswith(
         "dp fill chunks: T=1, M=65517, k_max=3, chunks of B=24 cells, nb=2730 per row, "
+        "w=2730 per tile, tiles=1, "
     )
-    assert len(lines) == 2 and all(line.endswith(" working bytes") for line in lines)
+    assert lines[2].startswith(
+        "dp fill chunks: T=1, M=262125, k_max=3, chunks of B=24 cells, nb=10922 per row, "
+        "w=2185 per tile, tiles=5, "
+    )
+    assert len(lines) == 3 and all(line.endswith(" working bytes") for line in lines)
 
 
 @pytest.mark.parametrize(
     "n_samples, length",
-    [(1 << 16, 20), (1 << 16, 64)],  # the second pads 62 cells onto 1024 chunks
+    # The first fills 2730 chunks in one tile, the second pads 62 cells onto
+    # 1024 chunks in one; 2^18 samples at L = 64 make four tiles of 1024
+    # chunks and 2^19 at L = 20 nine tiles of 2428.
+    [(1 << 16, 20), (1 << 16, 64), (1 << 18, 64), (1 << 19, 20)],
 )
 def test_folded_fill_memory_within_table_bytes(n_samples, length, caplog):
     rng = np.random.default_rng(43)
@@ -590,8 +656,10 @@ def test_detect_rows_hold_the_whole_block_against_the_limit(monkeypatch):
 @pytest.mark.parametrize(
     "n_rows, n_pos, length, k",
     # 4 rows of 8192 candidates fold into 342 chunks of 24 cells each; 512
-    # rows of 30 candidates into 2 chunks each, 17 of 48 cells padding.
-    [(4, 8192, 20, 6), (512, 30, 20, 2)],
+    # rows of 30 candidates into 2 chunks each, 17 of 48 cells padding. Both
+    # fit in one tile; 3 rows of 40_000 candidates fill two tiles of 834
+    # chunks, and 8 rows of 30_000 four of 313.
+    [(4, 8192, 20, 6), (512, 30, 20, 2), (3, 40_000, 20, 6), (8, 30_000, 20, 4)],
 )
 def test_folded_block_memory_within_table_bytes(n_rows, n_pos, length, k, caplog):
     rng = np.random.default_rng(44)
@@ -617,11 +685,14 @@ def test_folded_block_memory_within_table_bytes(n_rows, n_pos, length, k, caplog
         (4, 3071, "chunks"),  # 4 x 128 chunks
         (512, 24, "rows"),  # 1024 chunks, but 23 of each row's 48 cells padding
         (512, 30, "chunks"),  # 17 of 48 cells padding
+        (1, 100_000, "chunks"),  # 4167 chunks in two tiles of 2084
+        (3, 40_000, "chunks"),  # 3 x 1667 chunks in two tiles of 834
     ],
 )
-def test_table_bytes_counts_the_logged_fill_shape(n_rows, n_pos, path, monkeypatch, caplog):
-    # The B x nb cells that fill_rows logs (M+1 x 1 on the row path) are what
-    # table_bytes counts beyond an unpadded table, at 27 bytes each.
+def test_table_bytes_counts_the_logged_fill_shape(n_rows, n_pos, path, caplog):
+    # table_bytes is what the fill logs it works in (its arrays, the packed
+    # bits and the final rows among them, and a bound on numpy's buffers and
+    # its views), plus the float64 scores it is handed.
     length, k_max = 20, 2
     scores = np.random.default_rng(45).standard_normal((n_rows, n_pos))
     with caplog.at_level("DEBUG", logger="dpdetect.dp"):
@@ -629,7 +700,6 @@ def test_table_bytes_counts_the_logged_fill_shape(n_rows, n_pos, path, monkeypat
     words = caplog.records[-1].getMessage().replace(",", "").split()
     fields = dict(w.split("=") for w in words if "=" in w)
     assert words[2] == f"{path}:" and int(fields["T"]) == n_rows
-    padding = int(fields["B"]) * int(fields["nb"]) - (n_pos + 1)
-    needed = dp_mod.table_bytes(n_pos, k_max, length, n_rows)
-    monkeypatch.setattr(dp_mod, "_fold_shape", FORCE_PATH["rows"])
-    assert needed - dp_mod.table_bytes(n_pos, k_max, length, n_rows) == 27 * n_rows * padding
+    assert words[-2:] == ["working", "bytes"]
+    working = int(words[-3])
+    assert dp_mod.table_bytes(n_pos, k_max, length, n_rows) == working + scores.nbytes

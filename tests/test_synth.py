@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import dpdetect.dp as dp_mod
 import dpdetect.synth as synth_mod
 from dpdetect import (
     InfeasibleError,
@@ -192,6 +193,13 @@ def test_config_validation():
             SynthConfig(n_samples=50, length=10, k=1, sigma2=sigma2)
     with pytest.raises(ValidationError):
         SynthConfig(n_samples=50, length=10, k=1, sigma2=0.0, separation="diagonal")
+
+
+def test_config_holds_the_measurement_against_the_limit(monkeypatch):
+    monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", 8000)
+    assert SynthConfig(n_samples=1000, length=10, k=1, sigma2=1.0).n_samples == 1000
+    with pytest.raises(ValidationError, match="N=1001 samples needs 8008 bytes.*limit of 8000"):
+        SynthConfig(n_samples=1001, length=10, k=1, sigma2=1.0)
 
 
 def reference_sample(cfg, rng):
