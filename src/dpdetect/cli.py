@@ -104,7 +104,12 @@ def cmd_detect(args) -> int:
     else:
         cfg = ConvexConfig(sigma2=args.sigma2, delta_override=args.delta)
         result, track = convex_detect_full(y, template, _require_k(args), cfg)
-        extra = {"residual_sq": track.residual_sq, "lambda": track.lambda_star}
+        # iterations is 0 exactly when ||y||^2 <= delta made the zero vector the answer.
+        extra = {
+            "residual_sq": track.residual_sq,
+            "lambda": track.lambda_star,
+            "iterations": track.iterations,
+        }
     _write_text(json.dumps(io_mod.result_to_dict(result, extra), indent=2) + "\n", args.out)
     return 0
 

@@ -49,6 +49,24 @@ computing any score, a table larger than :data:`TABLE_BYTES_LIMIT`, a
 quarter of physical memory, or of the process's cgroup memory limit where
 that is lower.
 
+One detection (:func:`dp_detect`) first keeps only the windows that an
+optimal ``k``-set can use. Let ``R = (k-1)(2L-1) + 1`` and let θ be the
+R-th largest score. Each of a set's other ``k-1`` placements rules out at
+most ``2L-1`` starts, so if a set used a window scoring below θ, one of
+the ``R`` windows scoring θ or more could replace it and raise the exact
+objective. The table's values are left-to-right float sums of ``k``
+scores, each within ``δ = k²·2⁻⁵³·max|s|`` of its exact value, so every
+float-optimal set, the one the backtrack picks among them, uses only
+windows scoring at least ``θ - 2δ``; the cut sits at ``θ - 8k²·ulp(max|s|)``,
+more than four times that slack below θ. Since ``R`` grows with ``k``,
+the final row ``0 .. k`` is unchanged too. The kept starts
+``c_1 < ... < c_m`` sit at ``q_1 = 0``, ``q_{i+1} = q_i + min(c_{i+1} -
+c_i, L)`` of a compressed row whose other cells score -inf: two kept
+starts conflict there exactly when they do in the full row. The fill and
+the backtrack run on it unchanged and the starts map back, bit for bit.
+:func:`check_table` still holds the full row against the limit, and
+:func:`dp_solve` and :func:`dp_detect_rows` fill every cell.
+
 When only the final row is needed, for many score vectors at once,
 :func:`dp_final_rows` runs the same recurrence position-major over a block
 of columns and keeps only the last ``min(L, M+1)`` rows, with no choice
@@ -734,19 +752,85 @@ def dp_detect_rows(scores, length: int, k: int) -> np.ndarray:
     return backtrack_rows(packed, n_pos, length, k)
 
 
+# Bytes _candidates holds per candidate start at its peak, a bound: the
+# float64 scores, and at the largest of its steps their copy in
+# np.partition; a bool per start and the kept starts; or the kept starts,
+# their compressed places, their gathered scores and the compressed row, at
+# most eight bytes per start each.
+_PASS_BYTES_PER_START = 40
+
+
+def _candidates(scores: np.ndarray, length: int, k: int):
+    """The score row :func:`dp_detect` fills, and the map of its starts back to ``scores``.
+
+    Returns ``(row, kept, places)``: the compressed row of the module
+    docstring, the kept starts and their places in it. ``row`` is
+    ``scores`` itself, with ``kept`` and ``places`` None, when ``R >= M``,
+    when the pass's bytes would pass :data:`TABLE_BYTES_LIMIT`, when a sum
+    of ``k`` scores could overflow float64 (the error bound then fails),
+    or when the compressed fill and the map would take no fewer bytes than
+    the full fill. The ``dpdetect.dp`` logger gives R, θ, the kept count
+    and ``M -> M'``, or why the row was not pruned, at debug level.
+    """
+    n_pos, rank = scores.size, (k - 1) * (2 * length - 1) + 1
+    if rank >= n_pos:
+        log.debug("dp prune: not pruned, R=%d >= M=%d", rank, n_pos)
+        return scores, None, None
+    needed = _PASS_BYTES_PER_START * n_pos
+    if TABLE_BYTES_LIMIT is not None and needed > TABLE_BYTES_LIMIT:
+        log.debug("dp prune: not pruned, the pass needs %d bytes, above the limit", needed)
+        return scores, None, None
+    top = float(max(scores.max(), -scores.min()))
+    if not np.isfinite(2.0 * k * top):
+        log.debug("dp prune: not pruned, a sum of k=%d scores up to %.6g could overflow", k, top)
+        return scores, None, None
+    theta = np.partition(scores, n_pos - rank)[n_pos - rank]
+    kept = np.flatnonzero(scores >= theta - 8.0 * k * k * np.spacing(top))
+    places = np.empty_like(kept)
+    places[0] = 0
+    np.subtract(kept[1:], kept[:-1], out=places[1:])
+    np.minimum(places, length, out=places)
+    np.cumsum(places, out=places)
+    width = int(places[-1]) + 1
+    pruned = table_bytes(width, k, length) + kept.nbytes + places.nbytes
+    full = table_bytes(n_pos, k, length)
+    shape = f"R={rank}, theta={theta:.17g}, kept {kept.size}, M={n_pos} -> M'={width}"
+    if pruned >= full:
+        log.debug("dp prune: not pruned, %s takes %d bytes, not fewer than %d", shape, pruned, full)
+        return scores, None, None
+    log.debug("dp prune: %s", shape)
+    row = np.full(width, -np.inf)
+    row[places] = scores[kept]
+    return row, kept, places
+
+
 def dp_detect(y, x, k: int) -> DetectionResult:
     """Exact maximizer of the separation-constrained objective for ``k``.
 
-    Raises :class:`InfeasibleError` when ``k`` placements cannot fit, and
-    :class:`ValidationError` when the optimum overflows float64.
+    The fill runs only on the windows that some optimal set can use (the
+    exchange bound of the module docstring, with its float slack), on a
+    compressed row, and finds the starts and objective a fill of every
+    cell finds, bit for bit. The full table is held against
+    :data:`TABLE_BYTES_LIMIT` before any score is computed; the candidate
+    pass runs only where its bytes fit under the limit too, so it refuses
+    nothing the full fill would run. Raises :class:`InfeasibleError` when
+    ``k`` placements cannot fit, and :class:`ValidationError` when the
+    optimum overflows float64 or the table would pass the limit.
     """
     if k < 1:
         raise ValidationError("need at least one occurrence to detect")
-    table = dp_solve(y, x, k)
-    placements = dp_backtrack(table, k)
+    y = as_measurement(y)
+    x = as_template(x)
+    check_table(y.length, x.length, k)
+    row, kept, places = _candidates(correlation_scores(y, x), x.length, k)
+    final, packed = fill_rows(row[np.newaxis], x.length, k)
+    _check_optima(final[0, k], k, x.length, y.length)
+    starts = backtrack_rows(packed, row.size, x.length, k)[0]
+    if kept is not None:
+        starts = kept[np.searchsorted(places, starts)]
     return DetectionResult(
-        placements=placements,
-        objective=float(table.best[k]),
+        placements=PlacementSet(starts, x.length),
+        objective=float(final[0, k]),
         method="dp",
     )
 

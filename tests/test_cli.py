@@ -88,6 +88,20 @@ def test_detect_convex(tmp_path):
     result = json.loads(out.read_text())
     assert result["method"] == "convex"
     assert "residual_sq" in result and "lambda" in result
+    assert result["iterations"] > 0
+
+
+def test_detect_convex_zero_track_reports_no_iterations(tmp_path):
+    # ||y||^2 <= delta makes the zero vector the answer: the picks are the
+    # tied starts 0, L, 2L and the result says that no iteration ran.
+    prefix = tmp_path / "zero"
+    run(["gen", "--n", 150, "--l", 15, "--k", 3, "--sigma2", 2.0, "--seed", 1,
+         "--out", prefix])
+    out = tmp_path / "zero.json"
+    assert run(["detect", "--in", f"{prefix}.txt", "--rect", 15, "--method", "convex",
+                "--k", 3, "--sigma2", 2.0, "--out", out]) == 0
+    result = json.loads(out.read_text())
+    assert result["iterations"] == 0 and result["starts"] == [0, 15, 30]
 
 
 def test_detect_missing_k_is_validation_error(noiseless, capsys):

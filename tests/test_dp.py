@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from dpdetect import (
     InfeasibleError,
     SynthConfig,
     ValidationError,
+    as_measurement,
     dp_backtrack,
     dp_detect,
     dp_objective_column,
@@ -703,3 +705,127 @@ def test_table_bytes_counts_the_logged_fill_shape(n_rows, n_pos, path, caplog):
     assert words[-2:] == ["working", "bytes"]
     working = int(words[-3])
     assert dp_mod.table_bytes(n_pos, k_max, length, n_rows) == working + scores.nbytes
+
+
+def _prune_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("dp prune:")]
+
+
+def _prune_case(rng, trial):
+    """A measurement, template and count; most of them prune (R < M)."""
+    length = [1, 2, 3, 5, 8][trial % 5]
+    n = int(rng.integers(length + 20, 160))
+    n_pos = n - length + 1
+    fit = (n_pos - 1) // length + 1
+    # k = 1, k at the fit limit (R >= M then: never pruned) and counts between.
+    k = [1, fit, int(rng.integers(1, max(2, fit // 3 + 1)))][trial % 3]
+    kind = trial % 7
+    if kind == 0:  # small integers: tied scores and tied optima
+        return rng.integers(-2, 3, n).astype(float), np.ones(length), k
+    if kind == 1:  # an all-zero measurement: every score ties
+        return np.zeros(n), np.ones(length), k
+    if kind == 2:  # sparse spikes
+        return (rng.random(n) < 0.05).astype(float), np.ones(length), k
+    if kind == 3:  # rounded noise: ties among the best windows
+        return np.round(rng.standard_normal(n), 1), np.ones(length), k
+    if kind == 4:  # a large offset: scores close to each other
+        return 1.0 + 1e-3 * rng.standard_normal(n), rng.standard_normal(length), k
+    return rng.standard_normal(n), rng.standard_normal(length), k
+
+
+def test_pruned_detect_matches_full_fill_and_pointer_dp_bit_for_bit(caplog):
+    # dp_detect fills only the windows an optimal set can use; its starts,
+    # objective and final row must equal a fill of every cell and the
+    # cell-by-cell pointer DP.
+    rng = np.random.default_rng(47)
+    pruned = 0
+    for trial in range(420):
+        y, x, k = _prune_case(rng, trial)
+        length = len(x)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="dpdetect.dp"):
+            result = dp_detect(y, x, k)
+        [line] = _prune_lines(caplog)
+        pruned += "not pruned" not in line
+        table = dp_solve(y, x, k)
+        starts = result.placements.starts.tolist()
+        assert starts == dp_backtrack(table, k).starts.tolist()
+        assert np.float64(result.objective).tobytes() == table.best[k].tobytes()
+        scores = correlation_scores(y, x)
+        best, choice = pointer_dp(scores, length, k)
+        assert starts == pointer_backtrack(choice, length, k)
+        row, kept, _ = dp_mod._candidates(scores, length, k)
+        assert (kept is None) == ("not pruned" in line)
+        final, _ = fill_rows(row[np.newaxis], length, k)
+        assert final[0].tobytes() == table.best.tobytes() == best[-1].tobytes()
+    assert pruned >= 150
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "y, length, k, error",
+    [
+        ([1e308] * 50, 1, 2, ValidationError),  # finite scores, overflowing sums
+        ([1e308] * 50, 5, 2, ValidationError),  # overflowing scores
+        (np.ones(10), 4, 3, InfeasibleError),
+        (np.arange(60.0), 3, 21, InfeasibleError),  # one past the fit limit
+    ],
+)
+def test_pruned_detect_raises_what_the_full_fill_raises(y, length, k, error, caplog):
+    with pytest.raises(error) as full:
+        dp_backtrack(dp_solve(y, rect_template(length), k), k)
+    with caplog.at_level("DEBUG", logger="dpdetect.dp"):
+        with pytest.raises(error, match=f"^{re.escape(str(full.value))}$"):
+            dp_detect(y, rect_template(length), k)
+    assert all("not pruned" in line for line in _prune_lines(caplog))
+
+
+def test_prune_debug_line_gives_the_bound_or_why_not(monkeypatch, caplog):
+    # Scores [0 0 2 3 1 0 ... 3 3 0 ... 1 2 1 0 ...]: at k = 2, L = 2, R = 4
+    # and the 4th best score is 2. The five starts scoring 2 or more (2, 3,
+    # 16, 17, 30) sit at 0, 1, 3, 4 and 6 of a row of 7 cells.
+    y = np.zeros(40)
+    y[[3, 4, 17, 30, 31]] = [2, 1, 3, 1, 1]
+    x = rect_template(2)
+    # At k = 1 and M = 40_000 the table fits in fewer bytes than the pass.
+    wide = np.random.default_rng(49).standard_normal(40_019)
+    full = dp_backtrack(dp_solve(wide, rect_template(20), 1), 1).starts.tolist()
+    with caplog.at_level("DEBUG", logger="dpdetect.dp"):
+        result = dp_detect(y, x, 2)
+        dp_detect(y, x, 14)  # R = 40 >= M = 39
+        dp_detect(np.zeros(40), x, 2)  # every score ties: all 39 kept
+        dp_detect([4e307] * 40, x, 2)  # finite scores whose sums can overflow
+        monkeypatch.setattr(dp_mod, "TABLE_BYTES_LIMIT", dp_mod.table_bytes(40_000, 1, 20))
+        assert dp_detect(wide, rect_template(20), 1).placements.starts.tolist() == full
+    assert result.placements.starts.tolist() == [3, 16] and result.objective == 6.0
+    assert _prune_lines(caplog) == [
+        "dp prune: R=4, theta=2, kept 5, M=39 -> M'=7",
+        "dp prune: not pruned, R=40 >= M=39",
+        "dp prune: not pruned, R=4, theta=0, kept 39, M=39 -> M'=39 takes "
+        f"{dp_mod.table_bytes(39, 2, 2) + 2 * 39 * 8} bytes, not fewer than "
+        f"{dp_mod.table_bytes(39, 2, 2)}",
+        "dp prune: not pruned, a sum of k=2 scores up to 8e+307 could overflow",
+        "dp prune: not pruned, the pass needs 1600000 bytes, above the limit",
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 96])
+def test_pruned_detect_memory_within_table_or_pass_bytes(k, caplog):
+    # At k = 1 the pass (the scores and their copy in np.partition) takes
+    # more than the table; at k = 96 the table takes more. The detect's
+    # peak stays under the larger of the two, which are what the limit holds.
+    n, length = 1 << 19, 20
+    n_pos = n - length + 1
+    y = as_measurement(np.random.default_rng(48).standard_normal(n))
+    tracemalloc.start()
+    try:
+        with caplog.at_level("DEBUG", logger="dpdetect.dp"):
+            result = dp_detect(y, rect_template(length), k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [line] = _prune_lines(caplog)
+    assert "not pruned" not in line and len(result.placements) == k
+    assert peak <= max(
+        dp_mod.table_bytes(n_pos, k, length), dp_mod._PASS_BYTES_PER_START * n_pos
+    )
