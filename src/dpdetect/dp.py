@@ -105,14 +105,30 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 # fill_rows folds one score row into chunks when it makes at least this many
-# chunk columns. A folded count makes about B + 12 numpy calls
-# (B = L rounded up to a multiple of 8) where the row path makes five, and
-# on narrow folds those calls cost more than the serial running maximum
-# they replace. Folded over row-path fill time, best of 9 calls, one
-# process, 2-core Xeon, numpy 2.4, for L = 1, 8, 20, 64 and T = 1, 4, 15
-# at K = 4-16: 0.96-1.65 at 256 columns, 0.74-1.18 at 512, 0.63-1.07 at
-# 768, 0.64-0.88 at 1024, 0.63-0.82 at 1536; 0.61 at N = 2^19, L = 20,
-# K = 96 (21845 columns).
+# chunk columns, or half as many once k_max >= _FOLD_DEEP_K. A folded count
+# makes about B + 12 numpy calls (B = L rounded up to a multiple of 8) where
+# the row path makes five, and on narrow folds those calls cost more than
+# the serial running maximum they replace; each fill also pays the fold's
+# own setup once, which more counts share. Folded over row-path fill time of
+# one row, best of 7 alternating calls, one process, 2-core Xeon, numpy
+# 2.4, at 256 / 384 / 512 / 691 / 1024 columns:
+#   B = 8:  K = 4 1.75 / 1.49 / 1.37 / 1.17 / 0.97, K = 8 1.51 / 1.30 /
+#           1.15 / 1.02 / 0.85, K = 16-96 1.28-1.41 / 1.09-1.18 /
+#           0.94-1.07 / 0.87-0.92 / 0.67-0.79;
+#   B = 24: K = 4 1.29 / 1.04 / 0.91 / 0.79 / 0.88, K = 8 1.14 / 0.91 /
+#           0.87 / 0.69 / 0.72, K = 16-96 0.99-1.05 / 0.80-1.06 /
+#           0.72-0.90 / 0.63-0.66 / 0.55-0.63;
+#   B = 64: K = 4 1.02 / 0.94 / 0.85 / 0.83 / 0.76, K = 8 0.99 / 0.79 /
+#           0.71 / 0.67 / 0.62, K = 16-96 0.50-0.80 / 0.60-0.70 /
+#           0.53-0.64 / 0.49-0.55 / 0.47-0.53.
+# So the long detect's pruned row (N = 2^19, L = 20, K = 96: 691 columns,
+# 7.31 ms on rows, 4.74 folded) folds, and estimate_k's detect at k-hat at
+# N = 6000 (a pruned row of 3.5-4.1k cells, at most 250 columns) keeps the
+# row path: at M = 4106, 0.56 / 0.94 / 1.39 ms at K = 24 / 40 / 60 against
+# 0.73 / 1.18 / 1.74 ms folded. The k_max rule rests on the long detect,
+# the only workload whose one row crosses it: below K = 16 the B = 8 rows
+# gain from 1024 columns only, and from K = 16 the fold is within 7% of the
+# row path at 512 columns and ahead from 691 on at every B measured.
 #
 # A block of two or more rows folds from half this width. Many short rows
 # cost the row path more per cell, so such blocks cross over earlier. The
@@ -135,6 +151,7 @@ log = logging.getLogger(__name__)
 # 0.99-1.05. run_sweep's blocks above pad at most 6% and fold as before:
 # 0.62-0.80 at T = 90 (folded), 1.03-1.46 at T = 20 (rows).
 _FOLD_MIN_WIDTH = 1024
+_FOLD_DEEP_K = 16
 
 # _fill_tiled runs the fold in tiles of B * T * w <= _TILE_CELLS cells, so
 # that a tile's three float64 arrays (1.5 MiB) stay in the 2 MiB L2 cache
@@ -250,7 +267,7 @@ def table_bytes(n_pos: int, k_max: int, length: int, rows: int = 1) -> int:
     :data:`TABLE_BYTES_LIMIT`.
     """
     bits = (k_max + 1) * ((n_pos + 8) // 8)
-    fold = _fold_shape(rows, n_pos, length)
+    fold = _fold_shape(rows, n_pos, length, k_max)
     held = rows * (bits + 8 * (k_max + 1 + n_pos)) + _scratch_bytes(rows, n_pos, fold)
     if not fold:
         return held + rows * (17 * (n_pos + 1) + (n_pos + 8) // 8)
@@ -290,18 +307,20 @@ def check_limit(what: str, needed: int) -> None:
         )
 
 
-def _fold_shape(n_rows: int, n_pos: int, length: int) -> tuple[int, int] | None:
+def _fold_shape(n_rows: int, n_pos: int, length: int, k_max: int) -> tuple[int, int] | None:
     """``(B, nb)`` when :func:`fill_rows` folds this block, else None.
 
     Chunks hold ``B >= L`` cells, ``B`` a multiple of 8 so that each
     chunk's choice bits fill whole bytes; each row makes ``nb`` of them.
-    One row folds into at least :data:`_FOLD_MIN_WIDTH` chunks, and a
-    block of rows when they make at least half as many in all, unless
-    padding makes up 3/8 or more of the cells.
+    One row folds into at least :data:`_FOLD_MIN_WIDTH` chunks, or half as
+    many for ``k_max >= _FOLD_DEEP_K``, and a block of rows when they make
+    at least half as many in all, unless padding makes up 3/8 or more of
+    the cells.
     """
     height = -(-length // 8) * 8
     columns = -(-(n_pos + 1) // height)
-    width = _FOLD_MIN_WIDTH if n_rows == 1 else _FOLD_MIN_WIDTH // 2
+    one_shallow_row = n_rows == 1 and k_max < _FOLD_DEEP_K
+    width = _FOLD_MIN_WIDTH if one_shallow_row else _FOLD_MIN_WIDTH // 2
     dense = 8 * (n_pos + 1) > 5 * columns * height
     return (height, columns) if dense and n_rows * columns >= width else None
 
@@ -331,7 +350,7 @@ def fill_rows(scores, length: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     counts = _counts_filled(n_pos, length, k_max)
     final[:, counts + 1 :] = -np.inf
     run = final[:, : counts + 1], packed[: counts + 1]
-    fold = _fold_shape(n_rows, n_pos, length)
+    fold = _fold_shape(n_rows, n_pos, length, k_max)
     if fold:
         height, columns = fold
         tile = _tile_width(n_rows, height, columns)

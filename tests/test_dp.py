@@ -406,7 +406,7 @@ def test_block_kernel_matches_per_row_solve_bit_for_bit(monkeypatch, scan_bytes)
                 assert dp_backtrack(table, k).starts.tolist() == expected
 
 
-def _chunks(n_rows, n_pos, length):
+def _chunks(n_rows, n_pos, length, k_max):
     """The fold shape of every block, however few its chunks or many its padded cells."""
     height = -(-length // 8) * 8
     return height, -(-(n_pos + 1) // height)
@@ -704,6 +704,38 @@ def test_table_bytes_counts_the_logged_fill_shape(n_rows, n_pos, path, caplog):
     assert words[2] == f"{path}:" and int(fields["T"]) == n_rows
     assert words[-2:] == ["working", "bytes"]
     working = int(words[-3])
+    assert dp_mod.table_bytes(n_pos, k_max, length, n_rows) == working + scores.nbytes
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_pos, length, k_max, path",
+    [
+        # run_sweep's blocks on paper_sweep (N = 300, L = 30): 9 chunks of 32 per row
+        (90, 271, 30, 6, "chunks"),
+        (90, 271, 30, 3, "chunks"),
+        (20, 271, 30, 6, "rows"),
+        (20, 271, 30, 3, "rows"),
+        # unknown_k's detect at k-hat (N = 6000, L = 20), pruned and not
+        (1, 3491, 20, 46, "rows"),
+        (1, 4106, 20, 60, "rows"),
+        (1, 5981, 20, 60, "rows"),
+        # the long detect's pruned row (N = 2^19, L = 20, K = 96): 691 chunks
+        (1, 16_583, 20, 96, "chunks"),
+        # one row folds from 512 chunks at k_max >= 16, from 1024 below
+        (1, 12_263, 20, 16, "rows"),
+        (1, 12_264, 20, 16, "chunks"),
+        (1, 24_551, 20, 15, "rows"),
+        (1, 24_552, 20, 15, "chunks"),
+    ],
+)
+def test_fold_cutover_paths_of_workload_shapes(n_rows, n_pos, length, k_max, path, caplog):
+    scores = np.random.default_rng(46).standard_normal((n_rows, n_pos))
+    with caplog.at_level("DEBUG", logger="dpdetect.dp"):
+        fill_rows(scores, length, k_max)
+    line = caplog.records[-1].getMessage()
+    assert line.startswith(f"dp fill {path}: T={n_rows}, M={n_pos},")
+    # table_bytes sizes the path the fill takes.
+    working = int(line.split()[-3])
     assert dp_mod.table_bytes(n_pos, k_max, length, n_rows) == working + scores.nbytes
 
 
